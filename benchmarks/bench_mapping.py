@@ -1,25 +1,24 @@
-"""Mapping-evaluation throughput benchmark with a committed trajectory.
+"""Mapping-evaluation throughput of the incremental delta-routing engine.
 
-Measures the two things the incremental delta-routing engine
-(``repro/routing/incremental.py``) changes:
+Measures **evals_per_sec** — mapping evaluations per second over a
+pairwise-swap candidate stream per app x topology x routing — for the
+two evaluators of :class:`~repro.core.memo.MemoizedMappingEvaluator`:
 
-* **evals_per_sec** — mapping-evaluations/sec over a pairwise-swap
-  candidate stream per app x topology x routing, comparing the
-  from-scratch evaluator (``baseline``: ``memo.evaluate`` of each
-  swapped assignment, the pre-engine code path) against the shipped
-  delta path (``current``: ``memo.evaluate_swap``, which self-tunes
-  between delta and from-scratch). Both are measured interleaved in the
-  same process on the same candidates, and both produce bit-identical
-  evaluations (asserted while measuring).
-* **full_flow** — wall-clock seconds of the complete ``run_sunmap``
-  selection flow per benchmark application, with the swap search forced
-  from-scratch (``MapperConfig(incremental=False)``) vs the default
-  incremental path.
+* ``baseline``: ``memo.evaluate`` of each swapped assignment, i.e. a
+  from-scratch :func:`~repro.core.evaluate.evaluate_mapping`;
+* ``current``: ``memo.evaluate_swap``, the searches' only swap path,
+  which routes every candidate as a delta through the incremental
+  engine (``repro/routing/incremental.py``).
 
-Results land in ``BENCH_mapping.json`` at the repo root, recorded
-honestly like ``BENCH_kernel.json``: per-case numbers, geomeans (overall
-and MP/SM-only), and a ``notes`` field stating where the delta engine
-wins and where the exact Δ of a swap is genuinely most of the work.
+Both are measured interleaved in the same process on the same
+candidates, and both produce bit-identical evaluations (asserted while
+measuring). Full-flow seconds are timed elsewhere: ``BENCH_kernel.json``
+and the end-to-end benchmark (``perfbench``).
+
+Results land in ``BENCH_mapping.json`` at the repo root: per-case
+numbers, geomeans (overall and MP/SM-only), and a ``notes`` field
+stating where the delta engine wins and where the exact delta of a swap
+is genuinely most of the work.
 
 The case matrix spans the paper's benchmark applications (small, dense
 — every core carries several flows, so a swap's exact Δ covers a third
@@ -58,12 +57,10 @@ from repro.apps.synthetic import random_core_graph  # noqa: E402
 from repro.core.constraints import Constraints  # noqa: E402
 from repro.core.evaluate import evaluate_mapping  # noqa: E402
 from repro.core.greedy import initial_greedy_mapping  # noqa: E402
-from repro.core.mapper import MapperConfig  # noqa: E402
 from repro.core.memo import MemoizedMappingEvaluator  # noqa: E402
 from repro.physical.estimate import NetworkEstimator  # noqa: E402
 from repro.routing.incremental import swap_assignment  # noqa: E402
 from repro.routing.library import make_routing  # noqa: E402
-from repro.sunmap import run_sunmap  # noqa: E402
 from repro.topology.library import make_topology  # noqa: E402
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mapping.json"
@@ -74,20 +71,22 @@ MIN_CHECK_RATIO = 0.7
 
 #: Honest context for readers of the committed record.
 NOTES = (
-    "baseline = from-scratch evaluation of every swap candidate (the "
-    "pre-engine path, still selectable via MapperConfig(incremental="
-    "False)); current = the shipped evaluate_swap delta path, which "
-    "self-tunes between delta and from-scratch per context. Both are "
-    "bit-identical (asserted during measurement). The delta engine wins "
-    "where routing decisions are load-independent (DO everywhere; "
-    "butterfly, unique-quadrant pairs) and on large sparse apps where a "
-    "swap's ripple stays local; on the small dense paper apps with "
+    "baseline = memo.evaluate, a from-scratch evaluate_mapping of every "
+    "swap candidate; current = memo.evaluate_swap, which routes every "
+    "swap candidate as a delta through the incremental engine (the "
+    "mapping searches' only swap path). Both are bit-identical "
+    "(asserted during measurement). The delta engine wins where routing "
+    "decisions are load-independent (DO everywhere; butterfly, "
+    "unique-quadrant pairs) and on large sparse apps where a swap's "
+    "ripple stays local; on the small dense paper apps with "
     "congestion-coupled MP/SM routing the exact delta of a swap "
-    "genuinely re-routes ~1/3 of the commodities (measured ground "
-    "truth) and throughput stays near parity — the adaptive layer caps "
-    "the downside at the probe cadence. The issue's 3x MP/SM target is "
-    "not reachable bit-identically on the paper apps; the geomeans "
-    "below record what is."
+    "genuinely re-routes ~1/3 of the commodities, and per-candidate "
+    "throughput is 0.67-1.0x of from-scratch in this record (the 6-core "
+    "dsp is consistently below parity: the engine's bookkeeping "
+    "outweighs routing a handful of commodities). Those cases are cheap "
+    "either way; end to end the paper flows stay within noise (perfbench "
+    "paper_flows). Whole flows are timed by BENCH_kernel.json and "
+    "perfbench, not here."
 )
 
 
@@ -118,13 +117,6 @@ EVAL_CASES = [
 ]
 
 SMOKE_EVAL_CASES = ["vopd-mesh-MP", "mpeg4-mesh-SM", "syn32-mesh-DO"]
-
-FLOW_CASES = [
-    # app, routing, link capacity (None = paper default)
-    ("vopd", "MP", None),
-    ("mpeg4", "SM", None),
-    ("dsp", "MP", 1000.0),
-]
 
 
 def _candidates(base: dict, num_slots: int, limit: int) -> list:
@@ -159,14 +151,9 @@ def measure_evals(
     cands = _candidates(base, topology.num_slots, limit)
 
     # Warm topology-resident caches + verify bit-identity on a sample.
-    # The verification memo is pinned to the delta engine — adaptively
-    # it would serve small MP/SM cases from-scratch and the assertion
-    # would compare evaluate_mapping with itself.
     memo = MemoizedMappingEvaluator(
         app, topology, routing, constraints, estimator
     )
-    memo._delta_mode = True
-    memo._probes_left = 0
     for s1, s2 in cands[: min(8, len(cands))]:
         new_ev = memo.evaluate_swap(base, s1, s2, with_floorplan=False)
         ref = evaluate_mapping(
@@ -199,23 +186,6 @@ def measure_evals(
     return round(n / t_old, 1), round(n / t_new, 1)
 
 
-def full_flow(app_name: str, routing: str, capacity, incremental: bool):
-    app = load_application(app_name)
-    constraints = (
-        Constraints() if capacity is None
-        else Constraints(link_capacity_mb_s=capacity)
-    )
-    start = time.perf_counter()
-    report = run_sunmap(
-        app, routing=routing, objective="hops", constraints=constraints,
-        config=MapperConfig(
-            converge=True, max_rounds=10, incremental=incremental
-        ),
-    )
-    wall = time.perf_counter() - start
-    return report.best_topology_name, wall
-
-
 def measure(smoke: bool = False, reps: int = 4) -> tuple[dict, dict]:
     """(baseline, current) sections, measured interleaved."""
     if smoke:
@@ -231,30 +201,13 @@ def measure(smoke: bool = False, reps: int = 4) -> tuple[dict, dict]:
         old, new = measure_evals(app_name, topo_name, code, reps, limit)
         base_evals[label] = old
         cur_evals[label] = new
-    base_flows = {}
-    cur_flows = {}
-    for app_name, routing, capacity in FLOW_CASES:
-        if smoke and app_name != "vopd":
-            continue
-        best_old = best_new = math.inf
-        winner = None
-        for _ in range(1 if smoke else 2):
-            winner, wall = full_flow(app_name, routing, capacity, False)
-            best_old = min(best_old, wall)
-            winner_new, wall = full_flow(app_name, routing, capacity, True)
-            assert winner_new == winner  # identical selection either way
-            best_new = min(best_new, wall)
-        base_flows[app_name] = {"seconds": round(best_old, 3), "winner": winner}
-        cur_flows[app_name] = {"seconds": round(best_new, 3), "winner": winner}
     calibration = _calibrate()
     baseline = {
         "evals_per_sec": base_evals,
-        "full_flow": base_flows,
         "calibration_ops_per_sec": calibration,
     }
     current = {
         "evals_per_sec": cur_evals,
-        "full_flow": cur_flows,
         "calibration_ops_per_sec": calibration,
     }
     return baseline, current
@@ -267,17 +220,6 @@ def _eval_ratios(current: dict, reference: dict) -> list[float]:
         if ref:
             ratios.append(value / ref)
     return ratios
-
-
-def _flow_ratio(current: dict, reference: dict) -> float | None:
-    cur = current.get("full_flow", {})
-    ref = reference.get("full_flow", {})
-    shared = [k for k in cur if k in ref]
-    if not shared:
-        return None
-    cur_total = sum(cur[k]["seconds"] for k in shared)
-    ref_total = sum(ref[k]["seconds"] for k in shared)
-    return ref_total / cur_total if cur_total else None
 
 
 def _speedups(baseline: dict, current: dict) -> dict:
@@ -298,11 +240,6 @@ def _speedups(baseline: dict, current: dict) -> dict:
         "evals_per_sec_mp_sm_geomean": (
             None if not mp_sm else round(_geomean(mp_sm), 2)
         ),
-        "full_flow": (
-            None
-            if _flow_ratio(current, baseline) is None
-            else round(_flow_ratio(current, baseline), 2)
-        ),
     }
 
 
@@ -310,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="reduced budget: three eval cases, one flow, two reps",
+        help="reduced budget: three eval cases, two reps",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -386,18 +323,10 @@ def main(argv: list[str] | None = None) -> int:
             f"evals {case:16s} old {old:9,.0f}/s  new {new:9,.0f}/s  "
             f"{new / old:.2f}x"
         )
-    for app_name in current["full_flow"]:
-        old = baseline["full_flow"][app_name]["seconds"]
-        new = current["full_flow"][app_name]["seconds"]
-        print(
-            f"flow  {app_name:16s} old {old:8.3f}s  new {new:8.3f}s  "
-            f"{old / new if new else float('nan'):.2f}x"
-        )
     sp = record["speedup"]
     print(
         f"geomean evals/sec {sp['evals_per_sec_geomean']}x "
-        f"(MP/SM {sp['evals_per_sec_mp_sm_geomean']}x), "
-        f"full flow {sp['full_flow']}x"
+        f"(MP/SM {sp['evals_per_sec_mp_sm_geomean']}x)"
     )
     return 1 if check_failed else 0
 

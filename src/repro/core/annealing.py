@@ -15,11 +15,6 @@ fully deterministic given their seed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.engine.cache import EvaluationCache
-
 import math
 import random
 from dataclasses import dataclass
@@ -53,16 +48,17 @@ def _scalar(evaluation: MappingEvaluation) -> float:
 
 @dataclass
 class AnnealingConfig:
-    """Simulated-annealing schedule."""
+    """Simulated-annealing schedule.
+
+    Each move is routed as a delta against the current state through
+    the incremental engine, and moves are floorplanned iff the
+    objective needs it.
+    """
 
     iterations: int = 1500
     initial_temperature: float | None = None  # None = auto-calibrated
     cooling: float = 0.997
     seed: int = 0
-    floorplan_each_step: bool = False
-    #: Route each move as a delta against the current state through the
-    #: incremental engine (bit-identical; off = from-scratch A/B path).
-    incremental: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -95,16 +91,6 @@ def _random_swap_slots(
     return s1, s2
 
 
-def _random_swap(assignment: dict, num_slots: int, rng: random.Random) -> dict:
-    """Swap two slots (possibly moving a core into a free slot)."""
-    from repro.routing.incremental import swap_assignment
-
-    s1, s2 = _random_swap_slots(assignment, num_slots, rng)
-    if s1 == s2:
-        return dict(assignment)
-    return swap_assignment(assignment, s1, s2)
-
-
 def simulated_annealing_map(
     core_graph: CoreGraph,
     topology: Topology,
@@ -114,7 +100,6 @@ def simulated_annealing_map(
     estimator: NetworkEstimator | None = None,
     config: AnnealingConfig | None = None,
     initial_assignment: dict | None = None,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Anneal over slot-swap moves.
 
@@ -123,20 +108,18 @@ def simulated_annealing_map(
             Passing the swap search's result turns annealing into a
             refinement pass (the returned mapping is never worse than
             the starting one).
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache`; ``None`` uses a private per-run cache.
-            Either way a revisited assignment (walks returning to an
-            earlier state) is never routed twice.
+
+    A revisited assignment (walks returning to an earlier state) is
+    never routed twice.
     """
     routing, objective = _resolve(routing, objective)
     constraints = constraints or Constraints()
     estimator = estimator or NetworkEstimator()
     config = config or AnnealingConfig()
     rng = random.Random(config.seed)
-    with_floorplan = config.floorplan_each_step or objective.needs_floorplan
+    with_floorplan = objective.needs_floorplan
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     def run(assignment):
@@ -147,17 +130,9 @@ def simulated_annealing_map(
         # Delta evaluation against the current state: the previous
         # move's record is the engine's most recent, so accepted walks
         # stay incremental end to end.
-        if config.incremental:
-            ev = memo.evaluate_swap(
-                base.assignment, s1, s2, with_floorplan=with_floorplan
-            )
-        else:
-            from repro.routing.incremental import swap_assignment
-
-            ev = memo.evaluate(
-                swap_assignment(base.assignment, s1, s2),
-                with_floorplan=with_floorplan,
-            )
+        ev = memo.evaluate_swap(
+            base.assignment, s1, s2, with_floorplan=with_floorplan
+        )
         return _score(ev, objective)
 
     if initial_assignment is None:
@@ -220,15 +195,11 @@ def random_search_map(
     estimator: NetworkEstimator | None = None,
     iterations: int = 1500,
     seed: int = 0,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Uniform random assignments — the unstructured baseline.
 
-    Args:
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache`, like the other optimizers; ``None`` uses a
-            private per-run cache. Either way duplicate random samples
-            (likely on small topologies) are never routed twice.
+    Duplicate random samples (likely on small topologies) are never
+    routed twice.
     """
     routing, objective = _resolve(routing, objective)
     constraints = constraints or Constraints()
@@ -237,8 +208,7 @@ def random_search_map(
     slots = list(range(topology.num_slots))
     n = core_graph.num_cores
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     best: MappingEvaluation | None = None

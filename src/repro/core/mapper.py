@@ -21,11 +21,6 @@ knob measured by ``bench_ablation_swap``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.engine.cache import EvaluationCache
-
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -55,21 +50,15 @@ class MapperConfig:
             butterfly placement). ``bench_ablation_swap`` quantifies the
             difference against the single-pass variant.
         max_rounds: safety bound for ``converge`` mode.
-        floorplan_in_loop: force floorplanning on/off inside the swap
-            loop; None = automatic (on iff the objective or constraints
-            need it).
-        incremental: route swap candidates as deltas against the round's
-            base through the incremental engine
-            (:mod:`repro.routing.incremental`) — bit-identical results,
-            measured speedups in ``BENCH_mapping.json``. Off = the
-            from-scratch path (kept for A/B benchmarking).
+
+    Swap candidates are always routed as deltas through the incremental
+    engine (:mod:`repro.routing.incremental`), and the swap loop
+    floorplans iff the objective or an area constraint needs it.
     """
 
     swap_rounds: int = 1
     converge: bool = True
     max_rounds: int = 8
-    floorplan_in_loop: bool | None = None
-    incremental: bool = True
 
 
 def _resolve(routing, objective):
@@ -97,18 +86,14 @@ def map_onto(
     estimator: NetworkEstimator | None = None,
     config: MapperConfig | None = None,
     collector: list | None = None,
-    cache: EvaluationCache | None = None,
 ) -> MappingEvaluation:
     """Map a core graph onto one topology and return the best evaluation.
 
     Args:
         collector: optional list receiving *every* evaluated mapping
-            (used for the Pareto exploration of Figure 9(b)).
-        cache: optional shared :class:`~repro.engine.cache.
-            EvaluationCache` memoizing per-assignment evaluations
-            (content-keyed); ``None`` uses a private per-search cache,
-            so the swap search never routes the same assignment twice
-            either way.
+            (used for the Pareto exploration of Figure 9(b)). The swap
+            search memoizes per assignment, so it never routes the same
+            assignment twice.
 
     Raises:
         MappingInfeasibleError: if the application has more cores than
@@ -125,15 +110,11 @@ def map_onto(
     estimator = estimator or NetworkEstimator()
     config = config or MapperConfig()
 
-    fp_in_loop = config.floorplan_in_loop
-    if fp_in_loop is None:
-        fp_in_loop = (
-            objective.needs_floorplan or constraints.max_area_mm2 is not None
-        )
-
+    fp_in_loop = (
+        objective.needs_floorplan or constraints.max_area_mm2 is not None
+    )
     memo = MemoizedMappingEvaluator(
-        core_graph, topology, routing, constraints, estimator,
-        cache=cache, objective=objective,
+        core_graph, topology, routing, constraints, estimator
     )
 
     def run(assignment: dict[int, int]) -> MappingEvaluation:
@@ -144,17 +125,9 @@ def map_onto(
         return ev
 
     def run_swap(base: MappingEvaluation, s1: int, s2: int) -> MappingEvaluation:
-        if config.incremental:
-            ev = memo.evaluate_swap(
-                base.assignment, s1, s2, with_floorplan=fp_in_loop
-            )
-        else:
-            from repro.routing.incremental import swap_assignment
-
-            ev = memo.evaluate(
-                swap_assignment(base.assignment, s1, s2),
-                with_floorplan=fp_in_loop,
-            )
+        ev = memo.evaluate_swap(
+            base.assignment, s1, s2, with_floorplan=fp_in_loop
+        )
         _score(ev, objective)
         if collector is not None:
             collector.append(ev)
@@ -179,9 +152,9 @@ def map_onto(
 def _best_swap(base: MappingEvaluation, run_swap) -> MappingEvaluation | None:
     """Evaluate every pairwise slot swap of ``base``; return the best.
 
-    ``run_swap(base, s1, s2)`` evaluates one slot swap — normally as a
-    delta against the base's routing (the incremental engine), which is
-    why this enumerates slot pairs instead of building candidate dicts.
+    ``run_swap(base, s1, s2)`` evaluates one slot swap as a delta
+    against the base's routing (the incremental engine), which is why
+    this enumerates slot pairs instead of building candidate dicts.
     """
     topology = base.topology
     occupied = sorted(base.assignment.values())

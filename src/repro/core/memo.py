@@ -9,35 +9,25 @@ is pure waste: :func:`evaluate_mapping` is deterministic in its inputs.
 
 :class:`MemoizedMappingEvaluator` wraps one search's evaluation context
 (core graph, topology, routing function, constraints, estimator) around
-PR-1's content-keyed :class:`~repro.engine.cache.EvaluationCache`, keyed
-by assignment fingerprint plus the floorplan flag. Hits return the
-previously evaluated :class:`~repro.core.evaluate.MappingEvaluation`
-object itself — callers treat evaluations as immutable apart from the
-``cost`` field, which objectives re-assign idempotently.
+a plain dict keyed by the canonical assignment plus the floorplan flag.
+Hits return the previously evaluated
+:class:`~repro.core.evaluate.MappingEvaluation` object itself — callers
+treat evaluations as immutable apart from the ``cost`` field, which
+objectives re-assign idempotently.
 
-:meth:`~MemoizedMappingEvaluator.evaluate_swap` is the searches' fast
+:meth:`~MemoizedMappingEvaluator.evaluate_swap` is the searches' swap
 path: a candidate that differs from a base assignment by one slot swap
-is routed as a delta through the incremental engine
-(:mod:`repro.routing.incremental`) instead of from scratch. The memo
-stays the outer layer — an exact-assignment hit still short-circuits
-everything — and misses land in the same cache, so both entry points
-interoperate on one store.
-
-Whether the delta actually beats from-scratch depends on the workload:
-load-independent routing (DO, unique-path quadrants) and large sparse
-applications splice most of the sequence, while small dense core graphs
-under congestion-coupled MP/SM genuinely change a third of their routes
-per swap. Since both paths are bit-identical, ``evaluate_swap``
-self-tunes: it probes the non-current path on a fixed cadence, tracks
-per-path EWMA timings, and serves each (application, topology, routing)
-context with whichever evaluator is measurably faster — the delta
-engine's wins are kept and its overhead-bound cases cost at most the
-probe cadence.
+is always routed as a delta through the incremental engine
+(:mod:`repro.routing.incremental`), bit-identical to a from-scratch
+evaluation. The memo stays the outer layer — an exact-assignment hit
+still short-circuits everything — and both entry points share one
+store. A search's work therefore depends only on its inputs: the same
+search makes the same from-scratch and delta evaluations in every run
+and every process.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.core.constraints import Constraints
@@ -51,45 +41,12 @@ from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
 from repro.topology.base import Topology
 
-if TYPE_CHECKING:  # runtime import is lazy: engine's package __init__
-    from repro.engine.cache import EvaluationCache  # imports the mapper
+if TYPE_CHECKING:  # runtime import is lazy: incremental imports repro.core
     from repro.routing.incremental import BaseRouting, IncrementalRoutingEngine
-
-#: evaluate_swap probes the non-current evaluator once per this many
-#: misses, so a mode that turns out faster is discovered at a bounded
-#: (~1/PROBE_EVERY) cost while the other keeps serving the search.
-PROBE_EVERY = 24
-
-#: EWMA smoothing for per-mode timings (weight of the newest sample).
-_EWMA_ALPHA = 0.25
-
-#: Required advantage before switching modes (hysteresis against noise).
-_SWITCH_MARGIN = 0.90
-
-#: Learned evaluator modes per (app name, flow count, topology, routing)
-#: context, shared process-wide: every search over the same context
-#: (fresh memos per map_onto, selection flows, benchmark reps) starts
-#: with the mode its predecessors converged to instead of re-paying the
-#: adaptation lag. A stale or colliding hint only mis-picks the
-#: *starting* mode — probing corrects it. Bounded by _MODE_HINTS_MAX.
-_MODE_HINTS: dict[tuple, bool] = {}
-_MODE_HINTS_MAX = 4096
 
 
 class MemoizedMappingEvaluator:
-    """Evaluate assignments through a content-keyed cache.
-
-    Args:
-        cache: an :class:`~repro.engine.cache.EvaluationCache` to share
-            across searches (pass the same instance to several
-            ``map_onto`` calls to pool their work); ``None`` creates a
-            private unbounded cache for this search.
-
-    With a private cache the key is just the assignment (the context is
-    fixed by construction); with a shared cache the key is prefixed by
-    content fingerprints of the whole evaluation context, so two
-    searches can never serve each other stale results.
-    """
+    """Evaluate assignments of one search context, each at most once."""
 
     __slots__ = (
         "core_graph",
@@ -97,15 +54,8 @@ class MemoizedMappingEvaluator:
         "routing",
         "constraints",
         "estimator",
-        "cache",
-        "_context",
+        "_memo",
         "_engine",
-        "_delta_mode",
-        "_swap_misses",
-        "_mode_ewma",
-        "_mode_hint_key",
-        "_probes_left",
-        "_probe_early",
     )
 
     def __init__(
@@ -115,104 +65,33 @@ class MemoizedMappingEvaluator:
         routing: RoutingFunction,
         constraints: Constraints,
         estimator: NetworkEstimator,
-        cache: EvaluationCache | None = None,
-        objective=None,
     ):
         self.core_graph = core_graph
         self.topology = topology
         self.routing = routing
         self.constraints = constraints
         self.estimator = estimator
+        self._memo: dict[tuple, MappingEvaluation] = {}
         self._engine = None
-        # Initial evaluator mode: a hint learned by earlier searches
-        # over the same context, else a structural guess —
-        # load-independent routing (DO) and larger applications splice
-        # enough to start on the delta path; small dense apps start
-        # from-scratch. Probing corrects either way within a few dozen
-        # candidates.
-        self._mode_hint_key = (
-            core_graph.name,
-            core_graph.num_flows,
-            topology.name,
-            routing.code,
-        )
-        hint = _MODE_HINTS.get(self._mode_hint_key)
-        self._delta_mode = (
-            hint
-            if hint is not None
-            else routing.code == "DO" or len(core_graph.commodities()) >= 24
-        )
-        # Probing budget: a search with a learned hint only re-checks a
-        # few times (cheap insurance against stale hints); an unhinted
-        # one probes early and more often. Once spent, the converged
-        # mode serves the rest of the search at zero probing cost.
-        self._probes_left = 3 if hint is not None else 8
-        self._probe_early = hint is None
-        self._swap_misses = 0
-        self._mode_ewma: dict[bool, float | None] = {True: None, False: None}
-        if cache is None:
-            from repro.engine.cache import EvaluationCache
-
-            self.cache = EvaluationCache(max_entries=None)
-            self._context = None
-        else:
-            self.cache = cache
-            # Lazy import: repro.engine.fingerprint imports the mapper,
-            # which imports this module.
-            from repro.engine.fingerprint import (
-                constraints_fingerprint,
-                core_graph_fingerprint,
-                estimator_fingerprint,
-                objective_fingerprint,
-                topology_fingerprint,
-            )
-
-            # The objective is part of the shared-cache key even though
-            # it does not influence routing: callers re-assign
-            # ``evaluation.cost`` after scoring, and two searches with
-            # different objectives must therefore never share the
-            # MappingEvaluation objects the cache hands back.
-            self._context = (
-                core_graph_fingerprint(core_graph),
-                topology_fingerprint(topology),
-                type(routing).__name__,
-                routing.code,
-                tuple(sorted(vars(routing).items())),
-                constraints_fingerprint(constraints),
-                estimator_fingerprint(estimator),
-                None if objective is None else objective_fingerprint(
-                    objective
-                ),
-            )
-
-    @property
-    def stats(self):
-        """Hit/miss counters of the underlying cache."""
-        return self.cache.stats
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
     ) -> MappingEvaluation:
-        """Route/check/measure ``assignment``, or return the cached
+        """Route/check/measure ``assignment``, or return the memoized
         evaluation of a bit-identical earlier one."""
-        key = (
-            self._context,
-            tuple(sorted(assignment.items())),
-            with_floorplan,
-        )
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        evaluation = evaluate_mapping(
-            self.core_graph,
-            self.topology,
-            assignment,
-            self.routing,
-            self.constraints,
-            estimator=self.estimator,
-            with_floorplan=with_floorplan,
-        )
-        self.cache.put(key, evaluation)
+        key = (tuple(sorted(assignment.items())), with_floorplan)
+        evaluation = self._memo.get(key)
+        if evaluation is None:
+            evaluation = evaluate_mapping(
+                self.core_graph,
+                self.topology,
+                assignment,
+                self.routing,
+                self.constraints,
+                estimator=self.estimator,
+                with_floorplan=with_floorplan,
+            )
+            self._memo[key] = evaluation
         return evaluation
 
     # ------------------------------------------------------------------
@@ -245,72 +124,24 @@ class MemoizedMappingEvaluator:
         — the incremental engine splices the clean routing prefix and
         re-routes only the dirty suffix (see
         :mod:`repro.routing.incremental`). The memo stays the outer
-        layer: an exact hit on the swapped assignment returns the cached
-        evaluation without touching the engine, and misses are stored
-        under the same key a from-scratch evaluation would use.
-
-        Self-tuning: because the delta and from-scratch evaluators
-        produce identical results, misses are timed per evaluator (the
-        non-current one is probed every ``PROBE_EVERY`` misses) and the
-        faster one serves this context — so workloads whose swap delta
-        is genuinely most of the sequence never pay the delta engine's
-        bookkeeping for long.
+        layer: an exact hit on the swapped assignment returns the
+        memoized evaluation without touching the engine, and misses are
+        stored under the same key a from-scratch evaluation would use.
         """
         from repro.routing.incremental import swap_assignment
 
-        swapped = swap_assignment(base_assignment, s1, s2)
-        swapped_key = tuple(sorted(swapped.items()))
-        key = (self._context, swapped_key, with_floorplan)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        self._swap_misses += 1
-        use_delta = self._delta_mode
-        # Probe the other evaluator early once when unhinted (so short
-        # searches adapt within their first round), then on a fixed
-        # cadence until the probing budget is spent.
-        if self._probes_left > 0 and (
-            (self._probe_early and self._swap_misses == 4)
-            or self._swap_misses % PROBE_EVERY == 0
-        ):
-            use_delta = not use_delta
-            self._probes_left -= 1
-        start = perf_counter()
-        if use_delta:
-            engine = self.engine
-            base_record = engine.record_for(base_assignment)
-            record = engine.swap_record(base_record, s1, s2, key=swapped_key)
-            evaluation = self._evaluate_record(record, with_floorplan)
-        else:
-            evaluation = evaluate_mapping(
-                self.core_graph,
-                self.topology,
-                swapped,
-                self.routing,
-                self.constraints,
-                estimator=self.estimator,
-                with_floorplan=with_floorplan,
-            )
-        elapsed = perf_counter() - start
-        ewma = self._mode_ewma[use_delta]
-        self._mode_ewma[use_delta] = (
-            elapsed
-            if ewma is None
-            else ewma + _EWMA_ALPHA * (elapsed - ewma)
+        swapped_key = tuple(
+            sorted(swap_assignment(base_assignment, s1, s2).items())
         )
-        current = self._mode_ewma[self._delta_mode]
-        other = self._mode_ewma[not self._delta_mode]
-        if (
-            current is not None
-            and other is not None
-            and other < current * _SWITCH_MARGIN
-        ):
-            self._delta_mode = not self._delta_mode
-        if current is not None and other is not None:
-            if len(_MODE_HINTS) >= _MODE_HINTS_MAX:
-                _MODE_HINTS.clear()
-            _MODE_HINTS[self._mode_hint_key] = self._delta_mode
-        self.cache.put(key, evaluation)
+        key = (swapped_key, with_floorplan)
+        evaluation = self._memo.get(key)
+        if evaluation is None:
+            engine = self.engine
+            record = engine.swap_record(
+                engine.record_for(base_assignment), s1, s2, key=swapped_key
+            )
+            evaluation = self._evaluate_record(record, with_floorplan)
+            self._memo[key] = evaluation
         return evaluation
 
     def _evaluate_record(

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.engine.backends import CacheBackend, MemoryBackend
 from repro.obs import metrics as obs_metrics
 
-if TYPE_CHECKING:  # break the jobs -> core -> memo -> cache cycle
+if TYPE_CHECKING:  # annotation only
     from repro.engine.jobs import JobResult
 
 _HITS = obs_metrics.REGISTRY.counter(
@@ -102,11 +102,11 @@ class EvaluationCache:
     manages its own capacity — ``max_entries`` then only retains its
     ``0``-disables-caching meaning.
 
-    The store is payload-agnostic: the engine keeps
-    :class:`~repro.engine.jobs.JobResult` records in it, while the
-    mapping search (:mod:`repro.core.memo`) memoizes raw
-    :class:`~repro.core.evaluate.MappingEvaluation` objects keyed by
-    assignment fingerprint.
+    The store holds the engine's :class:`~repro.engine.jobs.JobResult`
+    records, so its counters (and the ``repro_cache_*`` metrics) count
+    engine job lookups only. The mapping search memoizes its
+    per-assignment evaluations in its own dict
+    (:mod:`repro.core.memo`), outside this cache.
 
     ``write_only=True`` turns every lookup into a miss while still
     persisting results — the design service's ``cache: "refresh"``

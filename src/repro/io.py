@@ -38,8 +38,26 @@ import json
 
 from repro.core.coregraph import CoreGraph
 from repro.core.selector import SelectionResult
-from repro.errors import CoreGraphError, TopologyError
+from repro.errors import CoreGraphError, ReproError, TopologyError
 from repro.topology.custom import CustomTopology
+
+
+def reject_non_finite(token: str):
+    """``parse_constant`` hook refusing ``NaN``/``Infinity``/``-Infinity``.
+
+    Python's :mod:`json` decodes those non-standard tokens by default;
+    every input boundary passes this hook so they fail at decode time.
+    """
+    raise ValueError(f"non-finite number {token} is not valid JSON")
+
+
+def _load_json(path, error: type[ReproError], what: str):
+    """Decode a JSON input file, raising ``error`` on malformed JSON."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle, parse_constant=reject_non_finite)
+        except ValueError as exc:
+            raise error(f"invalid {what} JSON in {path}: {exc}") from None
 
 
 def core_graph_to_dict(graph: CoreGraph) -> dict:
@@ -95,8 +113,7 @@ def save_core_graph(graph: CoreGraph, path) -> None:
 
 
 def load_core_graph(path) -> CoreGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return core_graph_from_dict(json.load(handle))
+    return core_graph_from_dict(_load_json(path, CoreGraphError, "core-graph"))
 
 
 def custom_topology_to_dict(topology: CustomTopology) -> dict:
@@ -151,8 +168,7 @@ def save_topology(topology: CustomTopology, path) -> None:
 
 
 def load_topology(path) -> CustomTopology:
-    with open(path, "r", encoding="utf-8") as handle:
-        return custom_topology_from_dict(json.load(handle))
+    return custom_topology_from_dict(_load_json(path, TopologyError, "topology"))
 
 
 def selection_to_dict(selection: SelectionResult) -> dict:

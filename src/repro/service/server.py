@@ -53,6 +53,7 @@ from repro.io import (
     core_graph_from_dict,
     custom_topology_from_dict,
     custom_topology_to_dict,
+    reject_non_finite,
     selection_to_dict,
 )
 from repro.obs import metrics as obs_metrics
@@ -500,8 +501,8 @@ class DesignService:
         async def respond(raw: bytes) -> None:
             """Handle one request line and stream its response out."""
             try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                payload = json.loads(raw, parse_constant=reject_non_finite)
+            except ValueError as exc:  # bad syntax, encoding or NaN/Inf
                 response = error_response(
                     None, None, ContractError(f"invalid JSON: {exc}")
                 ).to_dict()

@@ -48,6 +48,39 @@ class TestMapOnto:
         assert e1.assignment == e2.assignment
         assert e1.cost == e2.cost
 
+    def test_search_work_repeats_exactly(self, vopd_app, monkeypatch):
+        """Identical searches in one process do identical work: every
+        swap is delta-routed, so only the greedy seed and the final
+        floorplanned winner are evaluated from scratch."""
+        import repro.core.memo as memo_module
+        from repro.routing.incremental import IncrementalRoutingEngine
+
+        counts = {"scratch": 0, "delta": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            memo_module, "evaluate_mapping",
+            counted("scratch", memo_module.evaluate_mapping),
+        )
+        monkeypatch.setattr(
+            IncrementalRoutingEngine, "route_swap",
+            counted("delta", IncrementalRoutingEngine.route_swap),
+        )
+        topo = make_topology("mesh", 12)
+        runs = []
+        for _ in range(2):
+            counts.update(scratch=0, delta=0)
+            map_onto(vopd_app, topo, routing="MP")
+            runs.append(dict(counts))
+        assert runs[0] == runs[1]
+        assert runs[0]["scratch"] <= 2
+        assert runs[0]["delta"] > 0
+
     def test_final_evaluation_has_floorplan(self, tiny_app):
         topo = make_topology("mesh", 4)
         ev = map_onto(tiny_app, topo, objective="hops", config=FAST)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,35 @@ class TestProcessRegistry:
             "repro_campaign_points_per_sec",
         }
         assert expected <= names
+
+
+def _cache_series(jobs: int, tmp_path: Path) -> list[str]:
+    """``repro_cache_{hits,misses}_total`` lines of one CLI selection
+    run in a fresh process (so the registry starts empty)."""
+    metrics = tmp_path / f"jobs{jobs}.prom"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "select", "--app", "vopd",
+            "--jobs", str(jobs), "--metrics", str(metrics),
+        ],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    return sorted(
+        line
+        for line in metrics.read_text(encoding="utf-8").splitlines()
+        if line.startswith(
+            ("repro_cache_hits_total", "repro_cache_misses_total")
+        )
+    )
+
+
+class TestCacheCounters:
+    def test_cache_series_do_not_depend_on_worker_count(self, tmp_path):
+        """The cache counters count engine job lookups only, so a serial
+        and a process-pool selection report the same series."""
+        serial = _cache_series(1, tmp_path)
+        assert serial  # the selection did look up its jobs
+        assert serial == _cache_series(2, tmp_path)

@@ -96,11 +96,6 @@ def test_swap_sequence_matches_from_scratch(
     memo = MemoizedMappingEvaluator(
         app, topology, routing, constraints, estimator
     )
-    # Pin the self-tuning evaluator to the delta engine: left adaptive,
-    # small MP/SM/SA apps would serve these swaps from-scratch and the
-    # property would compare evaluate_mapping with itself.
-    memo._delta_mode = True
-    memo._probes_left = 0
     assignment = initial_greedy_mapping(app, topology)
     for s1, s2 in swaps:
         s1 %= topology.num_slots
@@ -124,7 +119,7 @@ def test_swap_sequence_matches_from_scratch(
         incremental.cost = objective.cost(incremental)
         scratch.cost = objective.cost(scratch)
         _assert_identical(incremental, scratch)
-    # The pinned mode really did route through the delta engine.
+    # The swaps really did route through the delta engine.
     assert memo._engine is not None
 
 
@@ -209,6 +204,13 @@ def test_first_dirty_index_silent_core_swap():
         with_floorplan=False,
     )
     _assert_identical(incremental, scratch)
+    # The memo served the swap through its delta engine: the candidate
+    # shares its base record's routing verbatim, which no from-scratch
+    # evaluation could.
+    assert (
+        incremental.routing_result.routed
+        is memo.engine.record_for(assignment).routed
+    )
 
 
 def test_first_dirty_index_orders_by_commodity_rank():

@@ -311,6 +311,31 @@ class TestTransport:
         assert not response["ok"]
         assert "invalid JSON" in response["error"]["message"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_a_contract_error(self, token):
+        """Python's json decodes NaN/Infinity; the wire must refuse them
+        before ``parse_request`` sees a non-finite campaign rate."""
+        line = json.dumps(CAMPAIGN).replace("0.05", token, 1)
+        assert token in line
+
+        async def scenario():
+            service = DesignService()
+            server = await service.start(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(line.encode("utf-8") + b"\n")
+            await writer.drain()
+            response = await reader.readline()
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return json.loads(response)
+
+        response = asyncio.run(scenario())
+        assert not response["ok"]
+        assert response["error"]["type"] == "ContractError"
+        assert "non-finite" in response["error"]["message"]
+
 
 class TestCrossProcessWarmStart:
     def test_second_process_does_zero_evaluations(self, tmp_path):

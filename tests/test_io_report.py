@@ -68,6 +68,47 @@ class TestCoreGraphIO:
         assert len(payload["flows"]) == 4
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+class TestNonFiniteJsonRejected:
+    """Python's json decodes NaN/Infinity; the file loaders must not."""
+
+    def test_core_graph_file(self, tiny_app, tmp_path, token):
+        path = tmp_path / "app.json"
+        save_core_graph(tiny_app, path)
+        text = path.read_text()
+        path.write_text(text.replace("200.0", token, 1))
+        assert token in path.read_text()
+        with pytest.raises(CoreGraphError, match="non-finite"):
+            load_core_graph(path)
+
+    def test_topology_file(self, tmp_path, token):
+        from repro.errors import TopologyError
+
+        path = tmp_path / "fabric.json"
+        path.write_text(
+            '{"name": "f", "slot_switch": [0, 1], "links": [{"a": 0, "b": 1}],'
+            f' "positions": {{"0": [0.0, {token}], "1": [1.0, 0.0]}}}}'
+        )
+        with pytest.raises(TopologyError, match="non-finite"):
+            load_topology(path)
+
+    def test_cli_reports_a_typed_error(self, tiny_app, tmp_path, capsys, token):
+        from repro.cli import main
+
+        path = tmp_path / "app.json"
+        save_core_graph(tiny_app, path)
+        path.write_text(path.read_text().replace("200.0", token, 1))
+        assert main(["select", "--app-file", str(path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_malformed_json_file_is_a_typed_error(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"name": "x", "cores": [')
+    with pytest.raises(CoreGraphError, match="invalid core-graph JSON"):
+        load_core_graph(path)
+
+
 class TestTopologyIO:
     def _fabric(self):
         from repro.topology.custom import CustomTopology
