@@ -416,6 +416,14 @@ def cmd_simulate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.simulation.campaign import CampaignConfig, run_campaign
+
+    # One measurement protocol for both front doors: unset cycle flags
+    # take CampaignConfig's defaults, exactly as service campaigns do.
+    protocol = CampaignConfig()
+    warmup = protocol.warmup if args.warmup is None else args.warmup
+    measure = protocol.measure if args.cycles is None else args.cycles
+    drain = protocol.drain if args.drain is None else args.drain
     app = load_application(args.app)
     topology = make_topology(args.topology, app.num_cores)
     if args.rates is None:
@@ -437,9 +445,9 @@ def _cmd_simulate(args) -> int:
         report = run_measurement(
             topology,
             SyntheticTraffic(pattern, args.rate),
-            warmup=args.warmup,
-            measure=args.cycles,
-            drain=args.drain,
+            warmup=warmup,
+            measure=measure,
+            drain=drain,
             active_slots=slots,
             offered_rate=args.rate,
         )
@@ -453,7 +461,6 @@ def _cmd_simulate(args) -> int:
 
     # Campaign mode: sweep rates x patterns x seeds through the engine.
     from repro.core.greedy import initial_greedy_mapping
-    from repro.simulation.campaign import CampaignConfig, run_campaign
 
     patterns = _csv(args.patterns, str)
     patterns = tuple(
@@ -470,9 +477,9 @@ def _cmd_simulate(args) -> int:
         rates=_csv(args.rates, float),
         patterns=patterns,
         seeds=_csv(args.seeds, int),
-        warmup=args.warmup,
-        measure=args.cycles,
-        drain=args.drain,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
         faults=args.faults,
         fault_seeds=_csv(args.fault_seeds, int),
         sim_engine=args.sim_engine,
@@ -732,9 +739,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", default="adversarial",
         choices=sorted(PATTERNS) + ["adversarial"],
     )
-    p.add_argument("--cycles", type=int, default=5000)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--drain", type=int, default=3000)
+    p.add_argument(
+        "--cycles", type=int, default=None,
+        help="measured cycles per point (default: CampaignConfig's)",
+    )
+    p.add_argument(
+        "--warmup", type=int, default=None,
+        help="warm-up cycles per point (default: CampaignConfig's)",
+    )
+    p.add_argument(
+        "--drain", type=int, default=None,
+        help="drain cycles per point (default: CampaignConfig's)",
+    )
     p.add_argument(
         "--rates", default=None, metavar="R1,R2,...",
         help="campaign mode: sweep these injection rates "

@@ -51,8 +51,11 @@ class AnnealingConfig:
     """Simulated-annealing schedule.
 
     Each move is routed as a delta against the current state through
-    the incremental engine, and moves are floorplanned iff the
-    objective needs it.
+    the incremental engine. Moves are floorplanned only when the
+    objective needs it, and then only those that pass the bandwidth
+    and QoS checks: the acceptance test scores the others on their
+    violations alone (:mod:`repro.core.memo`). The returned mapping is
+    always floorplanned.
     """
 
     iterations: int = 1500
@@ -182,7 +185,7 @@ def simulated_annealing_map(
                 best_scalar = current_scalar
         temperature *= config.cooling
 
-    final = memo.evaluate(best.assignment, with_floorplan=True)
+    final = memo.evaluate_final(best.assignment)
     return _score(final, objective)
 
 
@@ -230,5 +233,5 @@ def random_search_map(
             f"onto {topology.name!r} (iterations={iterations}); use "
             f"iterations >= 1"
         )
-    final = memo.evaluate(best.assignment, with_floorplan=True)
+    final = memo.evaluate_final(best.assignment)
     return _score(final, objective)

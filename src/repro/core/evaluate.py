@@ -110,9 +110,13 @@ def evaluate_mapping(
     Args:
         assignment: core index -> terminal slot; must be injective and
             cover every core.
-        with_floorplan: run the LP floorplanner (needed for area/power
-            numbers and area feasibility). Disable inside hop-objective
-            swap loops for speed; re-enable for the final report.
+        with_floorplan: run the LP floorplanner (needed for area
+            numbers, floorplanned power and the area check); when off,
+            power comes from nominal link lengths. A direct call with it
+            on always floorplans, feasible or not. The mapping searches
+            go through :class:`~repro.core.memo.MemoizedMappingEvaluator`
+            instead, which floorplans only the candidates they can rank
+            on a floorplan.
 
     Raises:
         MappingInfeasibleError: if the assignment is structurally invalid
@@ -149,7 +153,8 @@ def finish_evaluation(
     with_floorplan: bool,
     fast_power: PowerBreakdown | None = None,
 ) -> MappingEvaluation:
-    """Shared evaluation tail: feasibility checks, floorplan/power/area.
+    """Shared evaluation tail: feasibility checks, then the floorplan
+    tail (:func:`floorplan_evaluation`) or fast-mode power.
 
     Both :func:`evaluate_mapping` (from-scratch routing) and the
     incremental delta engine (:mod:`repro.routing.incremental`, which
@@ -181,45 +186,18 @@ def finish_evaluation(
         qos_violations=violations,
     )
 
-    pitch = nominal_pitch_mm(core_graph)
     if with_floorplan:
-        used = estimator.used_switches(topology, result)
-        try:
-            floorplan = floorplan_mapping(
-                topology,
-                assignment,
-                core_graph,
-                used_switches=used,
-                tech=estimator.tech,
-                max_aspect=constraints.max_chip_aspect,
-            )
-        except FloorplanError:
-            floorplan = None
-        evaluation.floorplan = floorplan
-        lengths = (
-            floorplan.link_lengths(topology, assignment)
-            if floorplan is not None
-            else None
-        )
-        channels = estimator.channels_area_mm2(
-            topology, result, lengths_mm=lengths, pitch_mm=pitch
-        )
-        if floorplan is not None:
-            evaluation.area_mm2 = floorplan.area_mm2 + channels
-        evaluation.power = estimator.network_power_mw(
-            topology, result, lengths_mm=lengths, pitch_mm=pitch
-        )
-        evaluation.power_mw = evaluation.power.total_mw
-        evaluation.area_feasible = floorplan is not None and area_feasible(
-            floorplan, evaluation.area_mm2, constraints
-        )
+        floorplan_evaluation(evaluation, constraints, estimator)
     else:
         # Fast mode: power from nominal link lengths, no area numbers.
         evaluation.power = (
             fast_power
             if fast_power is not None
             else estimator.network_power_mw(
-                topology, result, lengths_mm=None, pitch_mm=pitch
+                topology,
+                result,
+                lengths_mm=None,
+                pitch_mm=nominal_pitch_mm(core_graph),
             )
         )
         evaluation.power_mw = evaluation.power.total_mw
@@ -234,6 +212,56 @@ def finish_evaluation(
         routes=routes, mapped_slots=list(assignment.values())
     )
     return evaluation
+
+
+def floorplan_evaluation(
+    evaluation: MappingEvaluation,
+    constraints: Constraints,
+    estimator: NetworkEstimator,
+) -> None:
+    """The floorplan tail (Figure 5, step 7), run in place.
+
+    Floorplans ``evaluation``'s mapping, then derives link lengths,
+    channel area, floorplanned power and the area check from its stored
+    routing. Overwrites every field a fast-mode evaluation sets, so a
+    fast-mode evaluation completed here equals one floorplanned from the
+    start.
+    """
+    topology = evaluation.topology
+    assignment = evaluation.assignment
+    result = evaluation.routing_result
+    pitch = nominal_pitch_mm(evaluation.core_graph)
+    used = estimator.used_switches(topology, result)
+    try:
+        floorplan = floorplan_mapping(
+            topology,
+            assignment,
+            evaluation.core_graph,
+            used_switches=used,
+            tech=estimator.tech,
+            max_aspect=constraints.max_chip_aspect,
+        )
+    except FloorplanError:
+        floorplan = None
+    evaluation.floorplan = floorplan
+    lengths = (
+        floorplan.link_lengths(topology, assignment)
+        if floorplan is not None
+        else None
+    )
+    channels = estimator.channels_area_mm2(
+        topology, result, lengths_mm=lengths, pitch_mm=pitch
+    )
+    evaluation.area_mm2 = (
+        floorplan.area_mm2 + channels if floorplan is not None else None
+    )
+    evaluation.power = estimator.network_power_mw(
+        topology, result, lengths_mm=lengths, pitch_mm=pitch
+    )
+    evaluation.power_mw = evaluation.power.total_mw
+    evaluation.area_feasible = floorplan is not None and area_feasible(
+        floorplan, evaluation.area_mm2, constraints
+    )
 
 
 def _validate_assignment(

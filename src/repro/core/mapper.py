@@ -52,8 +52,12 @@ class MapperConfig:
         max_rounds: safety bound for ``converge`` mode.
 
     Swap candidates are always routed as deltas through the incremental
-    engine (:mod:`repro.routing.incremental`), and the swap loop
-    floorplans iff the objective or an area constraint needs it.
+    engine (:mod:`repro.routing.incremental`). The swap loop floorplans
+    only when the objective or an area constraint needs it, and then
+    only the candidates that pass the bandwidth and QoS checks: the
+    search ranks the others on their violations alone
+    (:mod:`repro.core.memo`). The returned winner is always
+    floorplanned.
     """
 
     swap_rounds: int = 1
@@ -143,9 +147,8 @@ def map_onto(
         best = candidate
 
     # Final authoritative evaluation with the floorplanner on, so every
-    # reported mapping carries area/power numbers and a real area check
-    # (a cache hit when the search already floorplanned this winner).
-    final = memo.evaluate(best.assignment, with_floorplan=True)
+    # reported mapping carries area/power numbers and a real area check.
+    final = memo.evaluate_final(best.assignment)
     return _score(final, objective)
 
 

@@ -13,7 +13,7 @@ a plain dict keyed by the canonical assignment plus the floorplan flag.
 Hits return the previously evaluated
 :class:`~repro.core.evaluate.MappingEvaluation` object itself — callers
 treat evaluations as immutable apart from the ``cost`` field, which
-objectives re-assign idempotently.
+objectives re-assign idempotently, and the one-time completion below.
 
 :meth:`~MemoizedMappingEvaluator.evaluate_swap` is the searches' swap
 path: a candidate that differs from a base assignment by one slot swap
@@ -24,6 +24,19 @@ still short-circuits everything — and both entry points share one
 store. A search's work therefore depends only on its inputs: the same
 search makes the same from-scratch and delta evaluations in every run
 and every process.
+
+Floorplanning is the expensive part of a floorplanned search (one LP
+per candidate), so the search entry points run the floorplan tail
+(:func:`~repro.core.evaluate.floorplan_evaluation`) only for candidates
+that pass the bandwidth and QoS checks. Any other candidate is
+infeasible whatever its floorplan, and the searches rank infeasible
+candidates on QoS violations, bandwidth overflow and worst link load
+alone (``MappingEvaluation.sort_key`` and annealing's scalar), so
+skipping its floorplan changes no search decision. Such a candidate is
+kept in fast mode (nominal-length power, no area) and its floorplan is
+deferred. :meth:`~MemoizedMappingEvaluator.evaluate_final`, the
+searches' final authoritative evaluation, completes a deferred winner
+from its stored routing, so every reported mapping is floorplanned.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from repro.core.evaluate import (
     MappingEvaluation,
     evaluate_mapping,
     finish_evaluation,
+    floorplan_evaluation,
 )
 from repro.physical.estimate import NetworkEstimator
 from repro.routing.base import RoutingFunction
@@ -55,6 +69,7 @@ class MemoizedMappingEvaluator:
         "constraints",
         "estimator",
         "_memo",
+        "_deferred",
         "_engine",
     )
 
@@ -72,13 +87,20 @@ class MemoizedMappingEvaluator:
         self.constraints = constraints
         self.estimator = estimator
         self._memo: dict[tuple, MappingEvaluation] = {}
+        # Keys of floorplan-flag entries whose floorplan tail was skipped.
+        self._deferred: set[tuple] = set()
         self._engine = None
 
     def evaluate(
         self, assignment: dict[int, int], with_floorplan: bool
     ) -> MappingEvaluation:
         """Route/check/measure ``assignment``, or return the memoized
-        evaluation of a bit-identical earlier one."""
+        evaluation of a bit-identical earlier one.
+
+        With ``with_floorplan`` set, a candidate that fails the
+        bandwidth or QoS check comes back in fast mode, its floorplan
+        deferred to :meth:`evaluate_final`.
+        """
         key = (tuple(sorted(assignment.items())), with_floorplan)
         evaluation = self._memo.get(key)
         if evaluation is None:
@@ -89,10 +111,40 @@ class MemoizedMappingEvaluator:
                 self.routing,
                 self.constraints,
                 estimator=self.estimator,
-                with_floorplan=with_floorplan,
+                with_floorplan=False,
             )
-            self._memo[key] = evaluation
+            self._store(key, evaluation, with_floorplan)
         return evaluation
+
+    def evaluate_final(self, assignment: dict[int, int]) -> MappingEvaluation:
+        """The complete, floorplanned evaluation of a search's winner.
+
+        A memo hit when the search already floorplanned ``assignment``;
+        the floorplan tail run on the stored routing when the search
+        deferred it; a from-scratch evaluation when the search ran
+        without floorplans. All three equal
+        ``evaluate_mapping(..., with_floorplan=True)``.
+        """
+        evaluation = self.evaluate(assignment, with_floorplan=True)
+        key = (tuple(sorted(assignment.items())), True)
+        if key in self._deferred:
+            self._deferred.remove(key)
+            floorplan_evaluation(evaluation, self.constraints, self.estimator)
+        return evaluation
+
+    def _store(
+        self, key: tuple, evaluation: MappingEvaluation, with_floorplan: bool
+    ) -> None:
+        """Memoize a fast-mode ``evaluation``, first running the floorplan
+        tail when asked for and the search can rank on it."""
+        if with_floorplan:
+            if evaluation.bandwidth_feasible and evaluation.qos_feasible:
+                floorplan_evaluation(
+                    evaluation, self.constraints, self.estimator
+                )
+            else:
+                self._deferred.add(key)
+        self._memo[key] = evaluation
 
     # ------------------------------------------------------------------
     # incremental (delta) evaluation
@@ -140,16 +192,14 @@ class MemoizedMappingEvaluator:
             record = engine.swap_record(
                 engine.record_for(base_assignment), s1, s2, key=swapped_key
             )
-            evaluation = self._evaluate_record(record, with_floorplan)
-            self._memo[key] = evaluation
+            evaluation = self._evaluate_record(record)
+            self._store(key, evaluation, with_floorplan)
         return evaluation
 
-    def _evaluate_record(
-        self, record: BaseRouting, with_floorplan: bool
-    ) -> MappingEvaluation:
+    def _evaluate_record(self, record: BaseRouting) -> MappingEvaluation:
         """Measure a spliced routing record exactly like a from-scratch
-        evaluation: shared checks/floorplan tail, with fast-mode power
-        resumed from the record's partial sums.
+        fast-mode evaluation: shared checks tail, with power resumed from
+        the record's partial sums.
 
         No assignment validation here: a slot swap of a structurally
         valid base assignment is valid by construction (injectivity and
@@ -157,7 +207,6 @@ class MemoizedMappingEvaluator:
         evaluations.
         """
         engine = self.engine
-        fast_power = None if with_floorplan else engine.fast_power(record)
         return finish_evaluation(
             self.core_graph,
             self.topology,
@@ -167,6 +216,6 @@ class MemoizedMappingEvaluator:
             engine.average_hops(record),
             self.constraints,
             self.estimator,
-            with_floorplan,
-            fast_power=fast_power,
+            with_floorplan=False,
+            fast_power=engine.fast_power(record),
         )

@@ -189,7 +189,12 @@ class NetworkEstimator:
         used = self.used_switches(topology, result)
         clock = 0.0
         leakage = 0.0
-        for sw in used:
+        # Sum in topology order: a set's iteration order follows string
+        # hashing, which would make the float sums depend on
+        # PYTHONHASHSEED.
+        for sw in topology.switches:
+            if sw not in used:
+                continue
             entry = entries[sw]
             clock += (
                 tech.clock_power_mw_per_port
@@ -243,9 +248,9 @@ class NetworkEstimator:
     ) -> float:
         """Total silicon area of the instantiated switches."""
         entries, _ = self._physical_tables(topology)
+        used = self.used_switches(topology, result)
         return sum(
-            entries[sw].area_mm2
-            for sw in self.used_switches(topology, result)
+            entries[sw].area_mm2 for sw in topology.switches if sw in used
         )
 
     def channels_area_mm2(

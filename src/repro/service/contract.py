@@ -127,7 +127,9 @@ PARAM_SCHEMAS = {
             "cores": {"type": "integer", "minimum": 2},
             "rates": {
                 "type": "array", "minItems": 1,
-                "items": {"type": "number", "exclusiveMinimum": 0},
+                "items": {
+                    "type": "number", "exclusiveMinimum": 0, "maximum": 1,
+                },
             },
             "patterns": {
                 "type": "array", "minItems": 1,
@@ -225,8 +227,8 @@ def validate(value, schema: dict, path: str = "$") -> None:
 
     Supported keywords: ``type``, ``enum``, ``const``, ``required``,
     ``properties``, ``additionalProperties`` (boolean form), ``items``,
-    ``minimum``, ``exclusiveMinimum``, ``minItems``. That subset covers
-    the whole contract; anything fancier belongs in
+    ``minimum``, ``exclusiveMinimum``, ``maximum``, ``minItems``. That
+    subset covers the whole contract; anything fancier belongs in
     :func:`parse_request`'s explicit checks, where the error message can
     say *why* the rule exists.
 
@@ -263,6 +265,10 @@ def validate(value, schema: dict, path: str = "$") -> None:
             raise ContractError(
                 f"{path}: {value} must be greater than "
                 f"{schema['exclusiveMinimum']}"
+            )
+        if "maximum" in schema and value > schema["maximum"]:
+            raise ContractError(
+                f"{path}: {value} is above the maximum {schema['maximum']}"
             )
     if isinstance(value, dict):
         for name in schema.get("required", ()):

@@ -62,7 +62,8 @@ class CampaignConfig:
     """Knobs of one campaign sweep.
 
     Attributes:
-        rates: offered loads in flits/cycle/node, strictly increasing.
+        rates: offered loads in flits/cycle/node, strictly increasing,
+            each in (0, 1].
         patterns: traffic patterns to sweep — names from
             :data:`~repro.simulation.patterns.PATTERNS` plus ``"app"``
             for trace-driven traffic.
@@ -117,8 +118,10 @@ class CampaignConfig:
             )
         if not self.rates:
             raise SimulationError("campaign needs at least one rate")
-        if any(r <= 0 for r in self.rates):
-            raise SimulationError("campaign rates must be positive")
+        if any(not 0 < r <= 1 for r in self.rates):
+            raise SimulationError(
+                "campaign rates must be in (0, 1] flits/cycle/node"
+            )
         if list(self.rates) != sorted(set(self.rates)):
             raise SimulationError(
                 "campaign rates must be strictly increasing"

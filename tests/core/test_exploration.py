@@ -116,3 +116,24 @@ class TestAreaPowerExploration:
         )
         for f in front:
             assert not any(p.dominates(f) for p in points)
+
+
+def test_exploration_points_equal_from_scratch_evaluations(mpeg4_app):
+    """Every collected point is a complete floorplanned evaluation, even
+    though the search skips the floorplan of infeasible candidates."""
+    from repro.core.constraints import Constraints
+    from repro.core.evaluate import evaluate_mapping
+    from repro.routing.library import make_routing
+
+    topo = make_topology("mesh", 12)
+    points, front = area_power_exploration(mpeg4_app, topo, routing="SM")
+    assert points and front
+    for p in points:
+        scratch = evaluate_mapping(
+            mpeg4_app, topo, dict(p.assignment), make_routing("SM"),
+            Constraints(), with_floorplan=True,
+        )
+        assert scratch.feasible
+        assert (p.area_mm2, p.power_mw, p.avg_hops) == (
+            scratch.area_mm2, scratch.power_mw, scratch.avg_hops
+        )

@@ -139,3 +139,86 @@ class TestMapOnto:
                       config=MapperConfig(converge=True, max_rounds=3))
         assert not ev.feasible
         assert ev.max_link_load >= 910.0  # the unsplittable SDRAM flow
+
+
+class TestDeferredFloorplan:
+    """Floorplanned searches floorplan only the candidates they can rank
+    on a floorplan, and still report complete winners."""
+
+    CONVERGE = MapperConfig(converge=True, max_rounds=10)
+
+    @staticmethod
+    def _from_scratch(app, ev, objective):
+        from repro.core.objectives import make_objective
+
+        scratch = evaluate_mapping(
+            app, ev.topology, ev.assignment, make_routing(ev.routing_code),
+            Constraints(), with_floorplan=True,
+        )
+        scratch.cost = make_objective(objective).cost(scratch)
+        return scratch
+
+    def test_power_search_floorplans_only_rankable_candidates(
+        self, mpeg4_app, monkeypatch
+    ):
+        import repro.core.evaluate as evaluate_module
+
+        calls = []
+        original = evaluate_module.floorplan_mapping
+
+        def counted(topology, assignment, *args, **kwargs):
+            calls.append(tuple(sorted(assignment.items())))
+            return original(topology, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "floorplan_mapping", counted)
+        topo = make_topology("mesh", 12)
+        collected = []
+        best = map_onto(
+            mpeg4_app, topo, routing="SM", objective="power",
+            config=self.CONVERGE, collector=collected,
+        )
+        evaluated = {tuple(sorted(ev.assignment.items())) for ev in collected}
+        rankable = {
+            tuple(sorted(ev.assignment.items()))
+            for ev in collected
+            if ev.bandwidth_feasible and ev.qos_feasible
+        }
+        # Most candidates fail the bandwidth check and are never
+        # floorplanned; each rankable one is floorplanned exactly once.
+        assert len(rankable) < len(evaluated) / 2
+        assert len(calls) == len(set(calls))
+        winner = tuple(sorted(best.assignment.items()))
+        assert set(calls) - {winner} <= rankable
+        assert rankable <= set(calls)
+        assert best.feasible and best.floorplan is not None
+
+    def test_infeasible_winner_is_completed_exactly(self, mpeg4_app):
+        """mpeg4 has no feasible butterfly mapping, so the winner's
+        floorplan was deferred during the search."""
+        topo = make_topology("butterfly", 12)
+        best = map_onto(
+            mpeg4_app, topo, routing="SM", objective="power",
+            config=self.CONVERGE,
+        )
+        assert not best.bandwidth_feasible
+        scratch = self._from_scratch(mpeg4_app, best, "power")
+        assert best.floorplan is not None
+        assert best.floorplan == scratch.floorplan
+        assert best.area_mm2 == scratch.area_mm2
+        assert best.power_mw == scratch.power_mw
+        assert best.cost == scratch.cost
+        assert best.area_feasible == scratch.area_feasible
+
+    def test_annealing_completes_infeasible_winner(self, mpeg4_app):
+        from repro.core.annealing import AnnealingConfig, simulated_annealing_map
+
+        topo = make_topology("butterfly", 12)
+        best = simulated_annealing_map(
+            mpeg4_app, topo, routing="SM", objective="power",
+            config=AnnealingConfig(iterations=60),
+        )
+        assert not best.bandwidth_feasible
+        scratch = self._from_scratch(mpeg4_app, best, "power")
+        assert best.floorplan == scratch.floorplan
+        assert best.power_mw == scratch.power_mw
+        assert best.cost == scratch.cost

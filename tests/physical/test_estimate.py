@@ -83,3 +83,42 @@ class TestPower:
         a1 = estimator.channels_area_mm2(topo, result, pitch_mm=1.0)
         a2 = estimator.channels_area_mm2(topo, result, pitch_mm=2.0)
         assert a2 > a1
+
+
+#: Evaluates one mpeg4 mapping on mesh-3x4 (SM routing) and prints the
+#: reprs of its power and area figures.
+_HASH_SEED_PROBE = """
+from repro.apps import mpeg4
+from repro.core.constraints import Constraints
+from repro.core.evaluate import evaluate_mapping
+from repro.routing.library import make_routing
+from repro.topology.library import make_topology
+
+assignment = {0: 3, 1: 1, 2: 2, 3: 5, 4: 6, 5: 10, 6: 8, 7: 4, 8: 0,
+              9: 11, 10: 7, 11: 9}
+ev = evaluate_mapping(mpeg4(), make_topology("mesh", 12), assignment,
+                      make_routing("SM"), Constraints())
+print(repr((ev.power_mw, ev.area_mm2, ev.power.clock, ev.power.leakage)))
+"""
+
+
+def test_power_and_area_independent_of_hash_seed():
+    """The static power and switch area sums follow the topology's
+    switch order, not the string-hash order of a set."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for seed in ("0", "21"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            capture_output=True, text=True, timeout=120, env=env,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -47,6 +47,11 @@ class TestValidator:
         with pytest.raises(ContractError, match="greater than"):
             validate(0.0, {"type": "number", "exclusiveMinimum": 0})
 
+    def test_maximum(self):
+        validate(1.0, {"type": "number", "maximum": 1})
+        with pytest.raises(ContractError, match="above the maximum"):
+            validate(1.5, {"type": "number", "maximum": 1})
+
     def test_object_rules_name_the_path(self):
         schema = {
             "type": "object",
@@ -146,6 +151,20 @@ class TestParseRequest:
                         "topology": "mesh",
                         "cores": 9,
                         "patterns": ["app"],
+                    },
+                }
+            )
+
+    def test_campaign_rate_above_one_rejected(self):
+        """Rates are flits/cycle/node: above 1 means nothing."""
+        with pytest.raises(ContractError, match=r"rates\[1\].*maximum"):
+            parse_request(
+                {
+                    "v": CONTRACT_VERSION,
+                    "kind": "campaign",
+                    "params": {
+                        "app": "vopd", "topology": "mesh",
+                        "rates": [0.5, 5.0],
                     },
                 }
             )

@@ -48,6 +48,8 @@ class TestCampaignConfig:
             {"rates": (0.2, 0.1)},
             {"rates": (-0.1, 0.2)},
             {"rates": (0.1, 0.1)},
+            {"rates": (0.5, 5.0)},
+            {"rates": (float("nan"),)},
             {"patterns": ()},
             {"patterns": ("warp_speed",)},
             {"patterns": ("uniform", "uniform")},

@@ -159,6 +159,41 @@ class TestSimulateAndGenerate:
         assert code == 1
         assert "increasing" in capsys.readouterr().err
 
+    def test_simulate_campaign_rate_above_one(self, capsys):
+        code = main([
+            "simulate", "--app", "dsp", "--topology", "mesh",
+            "--rates", "0.5,5",
+        ])
+        assert code == 1
+        assert "(0, 1]" in capsys.readouterr().err
+
+    def test_simulate_campaign_default_protocol(self, monkeypatch, capsys):
+        """Without cycle flags a CLI campaign measures with
+        CampaignConfig's protocol, like a service campaign."""
+        import repro.simulation.campaign as campaign_module
+        from repro.simulation.campaign import CampaignConfig
+
+        seen = []
+
+        class Result:
+            def summary(self):
+                return "stub"
+
+        def fake_run_campaign(topology, config, **kwargs):
+            seen.append(config)
+            return Result()
+
+        monkeypatch.setattr(campaign_module, "run_campaign", fake_run_campaign)
+        assert main([
+            "simulate", "--app", "dsp", "--topology", "mesh",
+            "--rates", "0.1",
+        ]) == 0
+        default = CampaignConfig()
+        (config,) = seen
+        assert (config.warmup, config.measure, config.drain) == (
+            default.warmup, default.measure, default.drain
+        )
+
     def test_simulate_campaign_malformed_rates(self, capsys):
         code = main([
             "simulate", "--app", "dsp", "--topology", "mesh",
