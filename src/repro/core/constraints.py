@@ -59,6 +59,13 @@ class Constraints:
         )
 
 
+def _core_capacity(topology: Topology, constraints: Constraints) -> float | None:
+    core_cap = constraints.core_link_capacity_mb_s
+    if topology.constrain_core_links and core_cap is None:
+        core_cap = constraints.link_capacity_mb_s
+    return core_cap
+
+
 def bandwidth_feasible(
     result: RoutingResult, topology: Topology, constraints: Constraints
 ) -> tuple[bool, float]:
@@ -67,19 +74,24 @@ def bandwidth_feasible(
     Returns ``(feasible, max_constrained_load)``. Fabrics with parallel
     channels (custom topologies with repeated link pairs) are checked on
     the worst *per-channel* load: an edge with multiplicity ``m``
-    carries ``m`` times the single-link capacity.
+    carries ``m`` times the single-link capacity. The ledger is read by
+    edge id (:meth:`~repro.topology.base.Topology.link_ids`).
     """
-    net_load = result.loads.max_load(
-        topology.net_edges(), divisors=topology.channel_multiplicities()
-    )
+    net_ids, net_mults, core_ids = topology.link_ids()
+    vals = result.loads.values_on(topology.graph_index)
+    # Loads are never negative, so ``default=0.0`` is the floor.
+    if net_mults is None:
+        net_load = max(map(vals.__getitem__, net_ids), default=0.0)
+    else:
+        net_load = max(
+            (vals[e] / m for e, m in zip(net_ids, net_mults)), default=0.0
+        )
     feasible = net_load <= constraints.link_capacity_mb_s + 1e-9
     max_load = net_load
 
-    core_cap = constraints.core_link_capacity_mb_s
-    if topology.constrain_core_links and core_cap is None:
-        core_cap = constraints.link_capacity_mb_s
+    core_cap = _core_capacity(topology, constraints)
     if core_cap is not None:
-        core_load = result.loads.max_load(topology.core_edges())
+        core_load = max(map(vals.__getitem__, core_ids), default=0.0)
         feasible = feasible and core_load <= core_cap + 1e-9
         max_load = max(max_load, core_load)
     return feasible, max_load
@@ -117,19 +129,29 @@ def bandwidth_overflow(
     several placements share the same bottleneck (e.g. an unsplittable
     600 MB/s flow) but differ elsewhere.
     """
+    net_ids, net_mults, core_ids = topology.link_ids()
+    vals = result.loads.values_on(topology.graph_index)
     cap = constraints.link_capacity_mb_s
-    mults = topology.channel_multiplicities() or {}
-    overflow = sum(
-        max(0.0, result.loads.get(u, v) - cap * mults.get((u, v), 1))
-        for u, v in topology.net_edges()
-    )
-    core_cap = constraints.core_link_capacity_mb_s
-    if topology.constrain_core_links and core_cap is None:
-        core_cap = constraints.link_capacity_mb_s
+    # Only overloaded links add: the others' ``max(0.0, load - cap)``
+    # terms are exact zeros, which leave a float sum unchanged.
+    if net_mults is None:
+        overflow = sum(
+            (v - cap for v in map(vals.__getitem__, net_ids) if v > cap), 0.0
+        )
+    else:
+        overflow = sum(
+            (
+                vals[e] - cap * m
+                for e, m in zip(net_ids, net_mults)
+                if vals[e] > cap * m
+            ),
+            0.0,
+        )
+    core_cap = _core_capacity(topology, constraints)
     if core_cap is not None:
         overflow += sum(
-            max(0.0, result.loads.get(u, v) - core_cap)
-            for u, v in topology.core_edges()
+            (v - core_cap for v in map(vals.__getitem__, core_ids) if v > core_cap),
+            0.0,
         )
     return overflow
 

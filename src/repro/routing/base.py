@@ -138,8 +138,9 @@ class RoutingFunction(ABC):
         """Route one commodity and **record its traffic in ``loads``**.
 
         Returns ``(path, bandwidth)`` pairs summing to ``value``. The
-        method must call ``loads.add_path`` itself so that multi-chunk
-        routing sees its own earlier chunks.
+        method must record each path in ``loads`` itself (``add_ids`` on
+        the ledger bound to ``topology.graph_index``, or ``add_path``)
+        so that multi-chunk routing sees its own earlier chunks.
         """
 
     def load_independent(
@@ -161,7 +162,8 @@ class RoutingFunction(ABC):
     def search_edges(
         self, topology: Topology, src_slot: int, dst_slot: int
     ) -> frozenset | None:
-        """Directed edges whose loads can influence this pair's routing.
+        """Ids (in ``topology.graph_index``) of the directed edges whose
+        loads can influence this pair's routing.
 
         The incremental engine skips re-searching a clean load-dependent
         commodity when none of these edges diverged from its base
@@ -186,7 +188,7 @@ class RoutingFunction(ABC):
             commodities: commodities in decreasing value order (Figure 5,
                 step 2).
         """
-        loads = EdgeLoads()
+        loads = EdgeLoads(topology.graph_index)
         loads.load_bound = ledger_load_bound(topology, commodities)
         routed = []
         for c in commodities:

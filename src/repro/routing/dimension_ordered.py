@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.routing.base import RoutingFunction
 from repro.routing.loads import EdgeLoads
+from repro.routing.shortest import dor_entry
 from repro.topology.base import Topology
 
 
@@ -38,6 +39,7 @@ class DimensionOrderedRouting(RoutingFunction):
         value: float,
         loads: EdgeLoads,
     ) -> list[tuple[list, float]]:
-        path = topology.dor_path(src_slot, dst_slot)
-        loads.add_path(path, value)
-        return [(path, value)]
+        path, eids = dor_entry(topology, src_slot, dst_slot)
+        loads.bind(topology.graph_index)
+        loads.add_ids(eids, value)
+        return [(list(path), value)]

@@ -21,17 +21,21 @@ consequences this engine exploits:
   no routing, no path walks.
 
 * **Ledger checkpoints are sparse snapshots plus exact roll-forward.**
-  The base route runs through
-  :class:`~repro.routing.loads.RecordingEdgeLoads`, which logs each
-  commodity's ledger additions (flat ``(edge, value)`` sequences) and
-  snapshots the ledger dict at positions spaced along the commodity
-  sequence. Restoring the state at the first dirty index *k* costs one
-  dict copy of the nearest snapshot at/before *k* plus a replay of the
+  Everything here runs on the topology's integer edge ids
+  (:class:`~repro.topology.base.GraphIndex`). The base route runs
+  through :class:`~repro.routing.loads.RecordingEdgeLoads`, which logs
+  each commodity's ledger additions as ``(edge ids, value)`` path
+  additions and snapshots the flat ledger at positions spaced along the
+  commodity sequence: a list copy of the loads, a copy of the
+  touched-edge flags and the length of the append-only first-touch
+  order. Restoring the state at the first dirty index *k* costs those
+  copies of the nearest snapshot at/before *k* plus a replay of the
   logged additions up to *k* — the identical float operations the base
   performed, so the restored prefix ledger is bit-exact, accumulation
-  history and key set included. (A per-edge undo journal was measured
-  first and rejected: it taxes every ledger addition on the routing hot
-  path, while sparse snapshots amortize to nearly nothing.)
+  history, touched set and first-touch order included. (A per-edge undo
+  journal was measured first and rejected: it taxes every ledger
+  addition on the routing hot path, while sparse snapshots amortize to
+  nearly nothing.)
 
 * **The suffix re-routes only what the ledger can actually influence.**
   A *clean* suffix commodity (endpoints untouched by the swap) keeps
@@ -42,11 +46,11 @@ consequences this engine exploits:
   always, MP/SM when the quadrant has a unique minimum-hop path — PR
   3's hop-dominance proof); for DO routing the entire suffix is
   load-independent and the delta is fully O(Δ). (2) Its search can't
-  see the delta: the engine tracks the diverged edges — where the
+  see the delta: the engine tracks the diverged edge ids — where the
   candidate ledger differs from the base at the same position, together
   with the base's bit-exact value there — and when every edge of the
   commodity's :meth:`~repro.routing.base.RoutingFunction.search_edges`
-  (its cached quadrant edge set) either never diverged or carries the
+  (its cached quadrant edge-id set) either never diverged or carries the
   bit-identical load, its Dijkstra inputs equal the base's and so does
   the output. The latter shortcut rests on ``hop_scale`` being an
   application constant rather than a running-total function (see
@@ -109,7 +113,7 @@ from repro.routing.base import (
     ledger_load_bound,
 )
 from repro.routing.loads import EdgeLoads, RecordingEdgeLoads
-from repro.topology.base import SW, Topology
+from repro.topology.base import Topology
 
 #: Base-routing records kept per engine. Small on purpose: a swap
 #: round's base is re-hit for every candidate (so it stays most recently
@@ -122,9 +126,9 @@ from repro.topology.base import SW, Topology
 DEFAULT_RECORD_CACHE = 8
 
 #: Target number of ledger snapshots per base record. Spacing trades the
-#: snapshot dict copies (made once per base) against the roll-forward
+#: snapshot list copies (made once per base) against the roll-forward
 #: replay a fork pays (at most one spacing's worth of logged additions —
-#: plain dict arithmetic, no searches).
+#: plain list arithmetic, no searches).
 SNAPSHOT_TARGET = 8
 
 
@@ -181,7 +185,7 @@ class BaseRouting:
     routed: list[RoutedCommodity]
     loads: EdgeLoads
     segments: list[list[tuple[tuple, float]]]
-    snapshots: dict[int, tuple[dict, float]]
+    snapshots: dict[int, tuple]
     power_terms: list[tuple[float, float]]
     pair_flags: list[tuple[bool, frozenset | None]]
     cum_hops: list[float]
@@ -222,22 +226,23 @@ class BaseRouting:
         return hops, sw, link
 
     def edge_index(self) -> dict:
-        """Lazily built ``edge -> [(segment index, value), ...]`` over
+        """Lazily built ``edge id -> [(segment index, value), ...]`` over
         all segments, in addition order — lets a delta re-derive this
         ledger's bit-exact per-edge value at any commodity boundary
         without replaying unrelated edges."""
         if self._edge_index is None:
             index: dict = {}
             for seg, ops in enumerate(self.segments):
-                for edge, value in ops:
-                    bucket = index.get(edge)
-                    if bucket is None:
-                        bucket = index[edge] = []
-                    bucket.append((seg, value))
+                for eids, value in ops:
+                    for e in eids:
+                        bucket = index.get(e)
+                        if bucket is None:
+                            bucket = index[e] = []
+                        bucket.append((seg, value))
             self._edge_index = index
         return self._edge_index
 
-    def value_at(self, edge: tuple, position: int) -> float:
+    def value_at(self, edge: int, position: int) -> float:
         """This routing's bit-exact load on ``edge`` just *before*
         commodity ``position`` routed (fold of its recorded additions,
         in order — the identical float sequence the live ledger ran)."""
@@ -247,6 +252,14 @@ class BaseRouting:
                 break
             value += v
         return value
+
+
+def _advance(base_vals: dict, seg: list) -> None:
+    """Add a base segment's additions to the tracked diverged edges."""
+    for eids, v in seg:
+        for e in eids:
+            if e in base_vals:
+                base_vals[e] += v
 
 
 class IncrementalRoutingEngine:
@@ -294,8 +307,20 @@ class IncrementalRoutingEngine:
         # Physical tables pre-bound for the inlined per-commodity power
         # terms (the per-call estimator overhead measurably dominated
         # the delta path on small apps).
-        self._entries, self._nominal = estimator._physical_tables(topology)
-        self._link_energy = estimator.tech.link_energy_pj_per_bit_mm
+        entries, nominal = estimator._physical_tables(topology)
+        self._switch_energy = {
+            sw: entry.energy_pj_per_bit for sw, entry in entries.items()
+        }
+        edges = topology.graph_index.edges
+        #: edge id -> pJ/bit of the switch it leaves (None: a terminal).
+        self._source_energy = [
+            self._switch_energy.get(u) for u, _ in edges
+        ]
+        link_energy = estimator.tech.link_energy_pj_per_bit_mm
+        #: edge id -> pJ/bit of its nominal-length wire.
+        self._wire_energy = [
+            link_energy * (nominal[edge] * self.pitch_mm) for edge in edges
+        ]
         # Same value route_all computes, so base routes and from-scratch
         # evaluations use the identical hop_scale constants.
         self._load_bound = ledger_load_bound(topology, self.commodities)
@@ -365,9 +390,9 @@ class IncrementalRoutingEngine:
         topology = self.topology
         routing = self.routing
         spacing = self.snapshot_spacing
-        loads = RecordingEdgeLoads()
+        loads = RecordingEdgeLoads(topology.graph_index)
         loads.load_bound = self._load_bound
-        snapshots: dict[int, tuple[dict, float]] = {}
+        snapshots: dict[int, tuple] = {}
         routed: list[RoutedCommodity] = []
         power_terms: list[tuple[float, float]] = []
         pair_flags: list[tuple[bool, frozenset | None]] = []
@@ -385,7 +410,7 @@ class IncrementalRoutingEngine:
                 commodity=c, src_slot=src, dst_slot=dst, paths=paths
             )
             routed.append(rc)
-            terms = self._power_terms(rc)
+            terms = self._power_terms(rc, loads.segments[i])
             power_terms.append(terms)
             pair_flags.append(self._pair(src, dst))
             cum_hops.append(cum_hops[-1] + rc.hops * c.value)
@@ -480,7 +505,7 @@ class IncrementalRoutingEngine:
         # fork, which is plain ledger arithmetic, not routing.
         p = max(pos for pos in base.snapshots if pos <= k)
         loads = RecordingEdgeLoads.resumed(
-            base.snapshots[p], base_segments[:p], self._load_bound
+            base.loads, base.snapshots[p], base_segments[:p]
         )
         for i in range(p, k):
             loads.replay_segment(base_segments[i])
@@ -503,9 +528,9 @@ class IncrementalRoutingEngine:
         # carry candidate loads equal to these base values sees
         # bit-identical Dijkstra inputs — same quadrant adjacency, same
         # loads, same constant scale — and is spliced without searching.
-        base_vals: dict[tuple, float] = {}
+        base_vals: dict[int, float] = {}
         diverged = base_vals.keys()
-        cand_get = loads.edge_map.get
+        cand_vals = loads.bind(topology.graph_index)
 
         for i in range(k, n):
             c = commodities[i]
@@ -524,13 +549,13 @@ class IncrementalRoutingEngine:
                         or (
                             all(
                                 e not in base_vals
-                                or cand_get(e, 0.0) == base_vals[e]
+                                or cand_vals[e] == base_vals[e]
                                 for e in edges
                             )
                             if len(edges) < len(base_vals)
                             else all(
                                 e not in edges
-                                or cand_get(e, 0.0) == base_vals[e]
+                                or cand_vals[e] == base_vals[e]
                                 for e in diverged
                             )
                         )
@@ -545,9 +570,7 @@ class IncrementalRoutingEngine:
                     sw_sum += terms[0]
                     link_sum += terms[1]
                     if base_vals:
-                        for edge, v in base_seg:
-                            if edge in base_vals:
-                                base_vals[edge] += v
+                        _advance(base_vals, base_seg)
                     continue
                 src = base_rc.src_slot
                 dst = base_rc.dst_slot
@@ -589,8 +612,8 @@ class IncrementalRoutingEngine:
                 rc = RoutedCommodity(
                     commodity=c, src_slot=src, dst_slot=dst, paths=paths
                 )
-                terms = self._power_terms(rc)
                 cand_seg = loads.segments[i]
+                terms = self._power_terms(rc, cand_seg)
             if flags[0]:
                 li_cache[(i, src, dst)] = (rc, terms, loads.segments[i])
             routed.append(rc)
@@ -602,9 +625,7 @@ class IncrementalRoutingEngine:
             if cand_seg is not None:
                 self._mark_diverged(base, base_vals, i, base_seg, cand_seg)
             elif base_vals:
-                for edge, v in base_seg:
-                    if edge in base_vals:
-                        base_vals[edge] += v
+                _advance(base_vals, base_seg)
 
         return BaseRouting(
             assignment=assignment,
@@ -649,50 +670,54 @@ class IncrementalRoutingEngine:
         a re-route's divergence (its old and new edges)."""
         # Advance already-diverged edges by the base's own additions
         # (the identical float adds the base ledger performed).
-        for edge, v in base_seg:
-            if edge in base_vals:
-                base_vals[edge] += v
+        _advance(base_vals, base_seg)
         # Newly diverged edges enter with the base's bit-exact value at
         # position i+1, re-derived from its per-edge addition log.
-        for edge, _ in base_seg:
-            if edge not in base_vals:
-                base_vals[edge] = base.value_at(edge, i + 1)
-        for edge, _ in cand_seg:
-            if edge not in base_vals:
-                base_vals[edge] = base.value_at(edge, i + 1)
+        for seg in (base_seg, cand_seg):
+            for eids, _ in seg:
+                for e in eids:
+                    if e not in base_vals:
+                        base_vals[e] = base.value_at(e, i + 1)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def _power_terms(self, rc: RoutedCommodity) -> tuple[float, float]:
+    def _power_terms(
+        self, rc: RoutedCommodity, seg: list[tuple[tuple, float]]
+    ) -> tuple[float, float]:
         """One commodity's (switch, link) dynamic-power contribution.
 
         The same per-commodity fold — starting at 0.0, identical inner
-        expressions and order, tables pre-bound — that
-        :meth:`~repro.physical.estimate.NetworkEstimator.
-        dynamic_power_terms` performs, so splicing a cached contribution
-        with one addition is bit-identical to the estimator's own
-        accumulation. The contribution is a pure function of the
-        commodity's paths.
+        expressions and order — that :meth:`~repro.physical.estimate.
+        NetworkEstimator.dynamic_power_terms` performs, so splicing a
+        cached contribution with one addition is bit-identical to the
+        estimator's own accumulation. The contribution is a pure
+        function of the commodity's paths.
+
+        Energies are read per edge id: ``seg`` (the commodity's ledger
+        additions) lists each returned path's edge ids, first-seen
+        order matching ``rc.paths`` (routing functions record every path
+        they return, and merge repeats in first-seen order). A path's
+        nodes are its edges' source nodes plus its last node, in path
+        order, so the two folds add the same terms in the same order as
+        the estimator.
         """
+        path_eids = list(dict.fromkeys(eids for eids, _ in seg))
+        assert len(path_eids) == len(rc.paths)
         rc_switch = 0.0
         rc_link = 0.0
-        entries = self._entries
-        nominal = self._nominal
-        link_energy = self._link_energy
-        pitch_mm = self.pitch_mm
-        for path, bw in rc.paths:
+        source_energy = self._source_energy
+        wire_energy = self._wire_energy
+        for (path, bw), eids in zip(rc.paths, path_eids):
             bits_per_s = bw * BITS_PER_MB
-            for node in path:
-                if node[0] == SW:
-                    rc_switch += (
-                        bits_per_s * entries[node].energy_pj_per_bit * 1e-9
-                    )
-            for edge in zip(path, path[1:]):
-                length = nominal[edge] * pitch_mm
-                rc_link += (
-                    bits_per_s * (link_energy * length) * 1e-12 * 1e3
-                )
+            for e in eids:
+                energy = source_energy[e]
+                if energy is not None:
+                    rc_switch += bits_per_s * energy * 1e-9
+                rc_link += bits_per_s * wire_energy[e] * 1e-12 * 1e3
+            energy = self._switch_energy.get(path[-1])
+            if energy is not None:
+                rc_switch += bits_per_s * energy * 1e-9
         return rc_switch, rc_link
 
     def average_hops(self, record: BaseRouting) -> float:

@@ -16,15 +16,13 @@ from __future__ import annotations
 from repro.routing.base import RoutingFunction
 from repro.routing.loads import EdgeLoads
 from repro.routing.shortest import (
-    _dijkstra_min_hop,
-    _unique_min_hop_path,
     hop_scale,
-    min_hop_then_load,
+    min_hop_search,
     quadrant_search_entry,
     search_edge_set,
-    topology_routing_view,
+    view_search_entry,
 )
-from repro.topology.base import Topology, term
+from repro.topology.base import Topology
 
 
 class MinimumPathRouting(RoutingFunction):
@@ -37,25 +35,18 @@ class MinimumPathRouting(RoutingFunction):
         #: Disable to measure the cost of whole-graph search (ablation).
         self.use_quadrant = use_quadrant
 
-    def _search_graph(self, topology: Topology, src_slot, dst_slot):
+    def _entry(self, topology: Topology, src_slot: int, dst_slot: int):
         if self.use_quadrant:
-            return topology.quadrant_subgraph(src_slot, dst_slot)
-        return topology_routing_view(topology, src_slot, dst_slot)
+            return quadrant_search_entry(topology, src_slot, dst_slot)
+        return view_search_entry(topology, src_slot, dst_slot)
 
     def load_independent(
         self, topology: Topology, src_slot: int, dst_slot: int
     ) -> bool:
         """True when the search graph has a single minimum-hop path: the
         hop-dominant weights provably pick it whatever the loads are
-        (see :func:`~repro.routing.shortest._unique_min_hop_path`)."""
-        if self.use_quadrant:
-            unique, _, _ = quadrant_search_entry(topology, src_slot, dst_slot)
-            return unique is not None
-        graph = self._search_graph(topology, src_slot, dst_slot)
-        return (
-            _unique_min_hop_path(graph, term(src_slot), term(dst_slot))
-            is not None
-        )
+        (see :mod:`repro.routing.shortest`)."""
+        return self._entry(topology, src_slot, dst_slot).path is not None
 
     def route_commodity(
         self,
@@ -65,26 +56,17 @@ class MinimumPathRouting(RoutingFunction):
         value: float,
         loads: EdgeLoads,
     ) -> list[tuple[list, float]]:
-        if not self.use_quadrant:
-            graph = self._search_graph(topology, src_slot, dst_slot)
-            path = min_hop_then_load(
-                graph, term(src_slot), term(dst_slot), loads, value
-            )
-            loads.add_path(path, value)
-            return [(path, value)]
-        # Quadrant fast path: one cached lookup resolves either the
-        # pair's forced minimum path or the Dijkstra search context.
-        unique, succ, num_nodes = quadrant_search_entry(
-            topology, src_slot, dst_slot
-        )
-        if unique is not None:
-            path = list(unique)
+        # One cached lookup resolves either the pair's forced minimum
+        # path or the Dijkstra search graph.
+        index = topology.graph_index
+        vals = loads.bind(index)
+        entry = self._entry(topology, src_slot, dst_slot)
+        if entry.path is not None:
+            path, eids = list(entry.path), entry.eids
         else:
-            scale = hop_scale(loads, value, num_nodes)
-            path = _dijkstra_min_hop(
-                succ, term(src_slot), term(dst_slot), loads.edge_map, scale
-            )
-        loads.add_path(path, value)
+            scale = hop_scale(loads, value, entry.num_nodes)
+            path, eids = min_hop_search(index, entry, vals, scale)
+        loads.add_ids(eids, value)
         return [(path, value)]
 
     def search_edges(

@@ -2,106 +2,60 @@
 
 Two weightings:
 
-* :func:`min_hop_then_load` — hop count dominates; accumulated load only
-  breaks ties. The load term of a whole path is scaled to stay below 1,
-  so a path can never trade an extra hop for less load. This implements
-  Figure 5's Dijkstra-on-quadrant with "edge weights increased by vl(dk)".
-* :func:`load_then_hops` — load dominates; a tiny per-hop epsilon keeps
-  zero-load searches minimal. Used by split-across-all-paths routing,
-  which may leave the quadrant to avoid congestion.
+* hop-dominant (:func:`min_hop_search`, :func:`min_hop_then_load`) —
+  hop count dominates; accumulated load only breaks ties. The load term
+  of a whole path is scaled to stay below 1, so a path can never trade
+  an extra hop for less load. This implements Figure 5's
+  Dijkstra-on-quadrant with "edge weights increased by vl(dk)".
+* load-dominant (:func:`least_load_search`, :func:`load_then_hops`) —
+  load dominates; a tiny per-hop epsilon keeps zero-load searches
+  minimal. Used by split-across-all-paths routing, which may leave the
+  quadrant to avoid congestion.
 
-Both run a faithful in-module port of networkx's Dijkstra
-(:func:`_dijkstra_path`) over a cached adjacency snapshot of the search
-graph: identical float accumulation, identical heap tie-breaking (push
-counter) and identical strict-improvement predecessor updates, so the
-returned paths are bit-for-bit the ones ``nx.dijkstra_path`` produced —
-without the per-call dispatch, argument mapping and filtered-view
-iteration overhead that dominated the mapper's profile. The adjacency
-snapshot per graph object is safe because topology graphs (and their
-cached quadrant views) are immutable after construction.
+Both run on integer ids (:class:`~repro.topology.base.GraphIndex`): a
+search graph is a :class:`SearchEntry` whose successor lists hold
+``(node id, edge id)`` pairs, and edge weights read the flat
+:class:`~repro.routing.loads.EdgeLoads` list by edge id. Each search is
+a faithful port of networkx's Dijkstra: identical float accumulation,
+identical heap tie-breaking (push counter), identical strict-improvement
+predecessor updates and successor order (``G.adj`` order), so the
+returned paths are bit-for-bit the ones ``nx.dijkstra_path`` produces
+on the same graph. A search returns the node path plus its edge ids,
+which the ledger adds without touching a tuple key.
+
+Search entries are cached on the topology per slot pair — the quadrant
+graph for MP/SM (Section 4.3), the whole-graph routing view for SA and
+whole-graph MP — and are safe to share because topology graphs are
+immutable after construction. An entry whose search graph has a single
+minimum-hop path stores that path and its edge ids instead of
+successors: hop-dominant searches provably return it under any load.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import islice
-from weakref import WeakKeyDictionary
+from typing import NamedTuple
 
 import networkx as nx
 
 from repro.errors import UnroutableError
 from repro.routing.loads import EdgeLoads
-from repro.topology.base import is_switch
-
-#: graph object -> (successor lists in ``G._adj`` order, node count).
-#: Values hold only node tuples, never the key graph, so weak keying
-#: actually collects entries when a graph dies.
-_succ_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-#: graph object -> {(src, dst): unique min-hop path or None}.
-_single_path_cache: WeakKeyDictionary = WeakKeyDictionary()
+from repro.topology.base import GraphIndex, Topology, is_switch, term
 
 
-def _successors(graph: nx.DiGraph) -> tuple[dict, int]:
-    """Snapshot ``graph``'s adjacency as plain lists (cached).
+class SearchEntry(NamedTuple):
+    """One search graph for one (source, destination) pair, on ids."""
 
-    Neighbor order matches ``graph._adj`` iteration exactly — that order
-    decides Dijkstra's heap tie-breaking, so it must be preserved. For
-    induced-subgraph views (``G.subgraph(nodes)``) the snapshot is built
-    from the parent's adjacency filtered by the node set — the same
-    order the view's FilterAdjacency yields, minus its per-item wrapper
-    overhead.
-    """
-    cached = _succ_cache.get(graph)
-    if cached is None:
-        node_filter = getattr(graph, "_NODE_OK", None)
-        keep_nodes = getattr(node_filter, "nodes", None)
-        parent = getattr(graph, "_graph", None)
-        if keep_nodes is not None and parent is not None:
-            parent_adj = parent._adj
-            succ = {
-                v: [u for u in parent_adj[v] if u in keep_nodes]
-                for v in parent_adj
-                if v in keep_nodes
-            }
-        else:
-            adj = graph._adj
-            succ = {v: list(adj[v]) for v in adj}
-        cached = (succ, len(succ))
-        _succ_cache[graph] = cached
-    return cached
-
-
-def _unique_min_hop_path(graph: nx.DiGraph, src, dst) -> list | None:
-    """The single minimum-hop ``src -> dst`` path, or ``None`` if the
-    pair has path diversity.
-
-    Justification for the shortcut: :func:`min_hop_then_load` weights
-    every edge ``1.0 + load/scale`` with the load terms of any whole
-    path summing strictly below 1, so an ``h``-hop path always
-    outweighs an ``(h+1)``-hop one — Dijkstra's result is provably a
-    minimum-hop path, and when only one exists the loads cannot change
-    the answer. The cache is per (graph, src, dst); diverse pairs store
-    ``None`` and take the full load-aware search.
-    """
-    per_graph = _single_path_cache.get(graph)
-    if per_graph is None:
-        per_graph = {}
-        _single_path_cache[graph] = per_graph
-    key = (src, dst)
-    try:
-        return per_graph[key]
-    except KeyError:
-        pass
-    try:
-        first_two = list(islice(nx.all_shortest_paths(graph, src, dst), 2))
-    except nx.NetworkXNoPath:
-        raise UnroutableError(
-            f"no route from {src} to {dst}: endpoints are partitioned"
-        ) from None
-    path = first_two[0] if len(first_two) == 1 else None
-    per_graph[key] = path
-    return path
+    #: The single minimum-hop node path, or ``None`` (path diversity).
+    path: list | None
+    #: Its edge ids (``None`` with ``path``).
+    eids: tuple | None
+    #: Node id -> ``[(node id, edge id)]`` of the search graph.
+    succ: dict | list
+    #: Node count of the search graph (sets the hop-dominant scale).
+    num_nodes: int
+    src: int
+    dst: int
 
 
 def routing_view(graph: nx.DiGraph, src, dst) -> nx.DiGraph:
@@ -117,57 +71,93 @@ def routing_view(graph: nx.DiGraph, src, dst) -> nx.DiGraph:
     return nx.subgraph_view(graph, filter_node=keep)
 
 
-def topology_routing_view(topology, src_slot: int, dst_slot: int):
-    """A per-(src, dst) :func:`routing_view` cached on the topology.
+def _entry(
+    index: GraphIndex, succ, num_nodes: int, src: int, dst: int
+) -> SearchEntry:
+    """A :class:`SearchEntry`, with the unique minimum-hop path resolved.
 
-    Cached on the topology object (like its quadrant views) rather than
-    in a weak-keyed map: subgraph views strongly reference their parent
-    graph, so a WeakKeyDictionary keyed by graph would never collect
-    its entries. The cache dies with the topology and is dropped by
-    ``Topology.__getstate__`` when jobs pickle to worker processes.
+    Justification for the shortcut: the hop-dominant weight of every
+    edge is ``1.0 + load/scale`` with the load terms of any whole path
+    summing strictly below 1, so an ``h``-hop path always outweighs an
+    ``(h+1)``-hop one — Dijkstra's result is provably a minimum-hop
+    path, and when only one exists the loads cannot change the answer.
+    A breadth-first search counts minimum-hop paths (capped at two).
+
+    Raises:
+        UnroutableError: when ``dst`` is unreachable from ``src``.
     """
-    from repro.topology.base import term
-
-    cache = topology.__dict__.setdefault("_routing_view_cache", {})
-    key = (src_slot, dst_slot)
-    view = cache.get(key)
-    if view is None:
-        view = routing_view(
-            topology.graph, term(src_slot), term(dst_slot)
-        )
-        cache[key] = view
-    return view
-
-
-def _reconstruct(dist: dict, pred: dict, target) -> list:
-    if target not in dist:
+    hops = {src: 0}
+    count = {src: 1}
+    via = {}
+    frontier = [src]
+    while frontier and dst not in hops:
+        level = []
+        for v in frontier:
+            h = hops[v] + 1
+            for u, e in succ[v]:
+                hu = hops.get(u)
+                if hu is None:
+                    hops[u] = h
+                    count[u] = count[v]
+                    via[u] = e
+                    level.append(u)
+                elif hu == h and count[u] < 2:
+                    count[u] = min(2, count[u] + count[v])
+        frontier = level
+    if dst not in hops:
         raise UnroutableError(
-            f"no route to {target}: endpoints are partitioned"
+            f"no route from {index.nodes[src]} to {index.nodes[dst]}: "
+            "endpoints are partitioned"
         )
-    path = [target]
-    while (prev := pred.get(path[-1])) is not None:
-        path.append(prev)
-    path.reverse()
-    return path
+    if count[dst] > 1:
+        return SearchEntry(None, None, succ, num_nodes, src, dst)
+    path, eids = _trace(index, via, src, dst)
+    return SearchEntry(path, eids, succ, num_nodes, src, dst)
 
 
-def _dijkstra_min_hop(
-    succ: dict, source, target, loads_map: dict, scale: float
-) -> list:
-    """Faithful port of ``networkx._dijkstra_multisource`` with the
-    hop-dominant edge weight ``1.0 + load / scale`` inlined.
+def _trace(index: GraphIndex, via: dict, src: int, dst: int):
+    """Node path and edge ids from predecessor edges ``via``."""
+    edge_src = index.edge_src
+    eids = []
+    v = dst
+    while v != src:
+        e = via[v]
+        eids.append(e)
+        v = edge_src[e]
+    eids.reverse()
+    nodes = index.nodes
+    path = [nodes[edge_src[e]] for e in eids]
+    path.append(nodes[dst])
+    return path, tuple(eids)
 
-    Mirrors the original exactly where it matters for bit-identity:
-    ``seen[source] = 0`` (int), the edge cost computed *before* being
-    added to the node distance (same float rounding), a monotonically
-    increasing push counter as the heap tie-break, predecessor
-    overwritten only on strict improvement, and path reconstruction by
-    walking first predecessors from the target.
+
+def _unreachable(index: GraphIndex, target: int) -> UnroutableError:
+    return UnroutableError(
+        f"no route to {index.nodes[target]}: endpoints are partitioned"
+    )
+
+
+def min_hop_search(
+    index: GraphIndex, entry: SearchEntry, vals: list, scale: float
+) -> tuple[list, tuple]:
+    """Dijkstra with the hop-dominant edge weight ``1.0 + load / scale``.
+
+    A port of ``networkx._dijkstra_multisource`` that mirrors it exactly
+    where it matters for bit-identity: ``seen[source] = 0`` (int), the
+    edge cost computed *before* being added to the node distance (same
+    float rounding), a monotonically increasing push counter as the heap
+    tie-break, the predecessor overwritten only on strict improvement,
+    and the path read back along first predecessors from the target.
+    The weight is only evaluated for unsettled neighbours (it is pure,
+    so skipping it for settled ones changes nothing). Returns
+    ``(node path, edge ids)``.
     """
+    succ = entry.succ
+    source = entry.src
+    target = entry.dst
     dist = {}
     seen = {source: 0}
-    pred = {}
-    loads_get = loads_map.get
+    via = {}
     fringe = [(0, 0, source)]
     counter = 1
     while fringe:
@@ -177,27 +167,32 @@ def _dijkstra_min_hop(
         dist[v] = dist_v
         if v == target:
             break
-        for u in succ[v]:
-            vu_dist = dist_v + (1.0 + loads_get((v, u), 0.0) / scale)
+        for u, e in succ[v]:
             if u in dist:
                 continue
-            if u not in seen or vu_dist < seen[u]:
+            vu_dist = dist_v + (1.0 + vals[e] / scale)
+            seen_u = seen.get(u)
+            if seen_u is None or vu_dist < seen_u:
                 seen[u] = vu_dist
                 heappush(fringe, (vu_dist, counter, u))
                 counter += 1
-                pred[u] = v
-    return _reconstruct(dist, pred, target)
+                via[u] = e
+    if target not in dist:
+        raise _unreachable(index, target)
+    return _trace(index, via, source, target)
 
 
-def _dijkstra_least_load(
-    succ: dict, source, target, loads_map: dict, eps: float
-) -> list:
-    """As :func:`_dijkstra_min_hop` but with the load-dominant weight
-    ``load + eps`` inlined (split-across-all-paths routing)."""
+def least_load_search(
+    index: GraphIndex, entry: SearchEntry, vals: list, eps: float
+) -> tuple[list, tuple]:
+    """As :func:`min_hop_search` but with the load-dominant weight
+    ``load + eps`` (split-across-all-paths routing)."""
+    succ = entry.succ
+    source = entry.src
+    target = entry.dst
     dist = {}
     seen = {source: 0}
-    pred = {}
-    loads_get = loads_map.get
+    via = {}
     fringe = [(0, 0, source)]
     counter = 1
     while fringe:
@@ -207,16 +202,19 @@ def _dijkstra_least_load(
         dist[v] = dist_v
         if v == target:
             break
-        for u in succ[v]:
-            vu_dist = dist_v + (loads_get((v, u), 0.0) + eps)
+        for u, e in succ[v]:
             if u in dist:
                 continue
-            if u not in seen or vu_dist < seen[u]:
+            vu_dist = dist_v + (vals[e] + eps)
+            seen_u = seen.get(u)
+            if seen_u is None or vu_dist < seen_u:
                 seen[u] = vu_dist
                 heappush(fringe, (vu_dist, counter, u))
                 counter += 1
-                pred[u] = v
-    return _reconstruct(dist, pred, target)
+                via[u] = e
+    if target not in dist:
+        raise _unreachable(index, target)
+    return _trace(index, via, source, target)
 
 
 def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
@@ -240,75 +238,144 @@ def hop_scale(loads: EdgeLoads, value: float, num_nodes: int) -> float:
     return max(1.0, (loads.total + value) * (num_nodes + 1))
 
 
-def search_edge_set(topology, src_slot: int, dst_slot: int) -> frozenset | None:
-    """All directed edges the quadrant search for a slot pair can read.
+def least_load_eps(loads: EdgeLoads, value: float) -> float:
+    """Per-hop epsilon of the load-dominant weight."""
+    return max(1e-9, (loads.total + value) * 1e-6)
+
+
+# ----------------------------------------------------------------------
+# per-topology search entries
+# ----------------------------------------------------------------------
+#: Stand-in for a topology's not yet created entry cache.
+_NO_ENTRIES: dict = {}
+
+
+def quadrant_search_entry(
+    topology: Topology, src_slot: int, dst_slot: int
+) -> SearchEntry:
+    """The quadrant graph of a slot pair (Section 4.3) as a search entry.
+
+    Successors are the graph's, filtered to the quadrant's nodes; a
+    trivial quadrant (``quadrant_nodes`` is ``None``, e.g. Clos) is the
+    whole graph. Cached on the topology per slot pair, so the
+    per-commodity hot path of MP/SM routing costs one dict lookup.
+    """
+    key = (src_slot, dst_slot)
+    entry = topology.__dict__.get("_quadrant_entry_cache", _NO_ENTRIES).get(key)
+    if entry is None:
+        cache = topology.__dict__.setdefault("_quadrant_entry_cache", {})
+        index = topology.graph_index
+        node_ids = index.node_ids
+        src = node_ids[term(src_slot)]
+        dst = node_ids[term(dst_slot)]
+        nodes = topology.quadrant_nodes(src_slot, dst_slot)
+        if nodes is None:
+            succ = index.succ
+            num_nodes = len(succ)
+        else:
+            keep = {node_ids[n] for n in nodes if n in node_ids}
+            keep.update((src, dst))
+            succ = {
+                v: [(u, e) for u, e in index.succ[v] if u in keep]
+                for v in sorted(keep)
+            }
+            num_nodes = len(succ)
+        entry = cache[key] = _entry(index, succ, num_nodes, src, dst)
+    return entry
+
+
+def view_search_entry(
+    topology: Topology, src_slot: int, dst_slot: int
+) -> SearchEntry:
+    """The whole-graph :func:`routing_view` of a slot pair (all
+    switches, the two endpoint terminals) as a search entry, cached on
+    the topology per slot pair."""
+    key = (src_slot, dst_slot)
+    entry = topology.__dict__.get("_view_entry_cache", _NO_ENTRIES).get(key)
+    if entry is None:
+        cache = topology.__dict__.setdefault("_view_entry_cache", {})
+        index = topology.graph_index
+        src = index.node_ids[term(src_slot)]
+        dst = index.node_ids[term(dst_slot)]
+        keep = [
+            i == src or i == dst or is_switch(node)
+            for i, node in enumerate(index.nodes)
+        ]
+        succ = [
+            [(u, e) for u, e in row if keep[u]] if keep[v] else ()
+            for v, row in enumerate(index.succ)
+        ]
+        entry = cache[key] = _entry(index, succ, sum(keep), src, dst)
+    return entry
+
+
+def search_edge_set(
+    topology: Topology, src_slot: int, dst_slot: int
+) -> frozenset | None:
+    """Ids of all directed edges the quadrant search for a slot pair can
+    read.
 
     The incremental engine skips re-searching a clean commodity when
     none of these edges diverged from the base ledger. Returns ``None``
     when the quadrant is the whole topology graph (trivial quadrant,
     e.g. Clos) — meaning "any diverged edge may matter, never skip".
-    Cached on the topology per slot pair, like the quadrant views.
+    Cached on the topology per slot pair.
     """
     cache = topology.__dict__.setdefault("_search_edges_cache", {})
     key = (src_slot, dst_slot)
     entry = cache.get(key, False)
     if entry is False:
-        graph = topology.quadrant_subgraph(src_slot, dst_slot)
-        if graph is topology.graph:
+        succ = quadrant_search_entry(topology, src_slot, dst_slot).succ
+        if succ is topology.graph_index.succ:
             entry = None
         else:
-            entry = frozenset(graph.edges())
+            entry = frozenset(e for row in succ.values() for _, e in row)
         cache[key] = entry
     return entry
 
 
-def quadrant_search_entry(
-    topology, src_slot: int, dst_slot: int
-) -> tuple[list | None, dict | None, int]:
-    """One-lookup search context for hop-dominant quadrant routing.
-
-    Returns ``(unique_path, succ, num_nodes)``: either the pair's single
-    minimum-hop path (``succ`` is ``None``) or the quadrant's adjacency
-    snapshot for the load-aware Dijkstra. Cached on the topology object
-    keyed by slot pair, so the per-commodity hot path of MP/SM routing
-    costs one dict lookup instead of quadrant fetch + weak-cache walks.
-    """
-    cache = topology.__dict__.setdefault("_mp_search_cache", {})
+def dor_entry(topology: Topology, src_slot: int, dst_slot: int):
+    """``(node path, edge ids)`` of the pair's dimension-ordered route,
+    cached on the topology per slot pair."""
     key = (src_slot, dst_slot)
-    entry = cache.get(key)
+    entry = topology.__dict__.get("_dor_entry_cache", _NO_ENTRIES).get(key)
     if entry is None:
-        from repro.topology.base import term
-
-        graph = topology.quadrant_subgraph(src_slot, dst_slot)
-        unique = _unique_min_hop_path(
-            graph, term(src_slot), term(dst_slot)
-        )
-        if unique is not None:
-            entry = (unique, None, 0)
-        else:
-            succ, num_nodes = _successors(graph)
-            entry = (None, succ, num_nodes)
-        cache[key] = entry
+        cache = topology.__dict__.setdefault("_dor_entry_cache", {})
+        path = topology.dor_path(src_slot, dst_slot)
+        entry = cache[key] = (path, topology.graph_index.path_edge_ids(path))
     return entry
+
+
+# ----------------------------------------------------------------------
+# any graph
+# ----------------------------------------------------------------------
+def _graph_entry(graph: nx.DiGraph, src, dst) -> tuple[GraphIndex, SearchEntry]:
+    index = GraphIndex(graph)
+    return index, _entry(
+        index,
+        index.succ,
+        len(index.nodes),
+        index.node_ids[src],
+        index.node_ids[dst],
+    )
 
 
 def min_hop_then_load(
     graph: nx.DiGraph, src, dst, loads: EdgeLoads, value: float
 ) -> list:
     """Minimum-hop path, breaking ties by least accumulated traffic."""
-    single = _unique_min_hop_path(graph, src, dst)
-    if single is not None:
-        return list(single)
-    succ, num_nodes = _successors(graph)
-    # Scale so a full path's load terms sum < 1 (see hop_scale).
-    scale = hop_scale(loads, value, num_nodes)
-    return _dijkstra_min_hop(succ, src, dst, loads.edge_map, scale)
+    index, entry = _graph_entry(graph, src, dst)
+    if entry.path is not None:
+        return list(entry.path)
+    vals = loads.bind(index)
+    scale = hop_scale(loads, value, entry.num_nodes)
+    return min_hop_search(index, entry, vals, scale)[0]
 
 
 def load_then_hops(
     graph: nx.DiGraph, src, dst, loads: EdgeLoads, value: float
 ) -> list:
     """Least-loaded path; hops only matter between equally loaded paths."""
-    succ, _ = _successors(graph)
-    eps = max(1e-9, (loads.total + value) * 1e-6)
-    return _dijkstra_least_load(succ, src, dst, loads.edge_map, eps)
+    index, entry = _graph_entry(graph, src, dst)
+    vals = loads.bind(index)
+    return least_load_search(index, entry, vals, least_load_eps(loads, value))[0]

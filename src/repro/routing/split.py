@@ -20,14 +20,15 @@ from __future__ import annotations
 from repro.routing.base import RoutingFunction
 from repro.routing.loads import EdgeLoads
 from repro.routing.shortest import (
-    _dijkstra_min_hop,
     hop_scale,
-    load_then_hops,
+    least_load_eps,
+    least_load_search,
+    min_hop_search,
     quadrant_search_entry,
     search_edge_set,
-    topology_routing_view,
+    view_search_entry,
 )
-from repro.topology.base import Topology, term
+from repro.topology.base import Topology
 
 #: Default number of chunks a commodity is split into.
 DEFAULT_CHUNKS = 4
@@ -47,36 +48,12 @@ def _merge(paths: list[tuple[list, float]]) -> list[tuple[list, float]]:
 
 
 class _SplitRoutingBase(RoutingFunction):
-    """Common chunked-routing driver for SM and SA."""
+    """Chunk count shared by SM and SA."""
 
     def __init__(self, chunks: int = DEFAULT_CHUNKS):
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
         self.chunks = chunks
-
-    def _search_graph(self, topology: Topology, src_slot: int, dst_slot: int):
-        raise NotImplementedError
-
-    def _chunk_path(self, graph, src, dst, loads, value):
-        raise NotImplementedError
-
-    def route_commodity(
-        self,
-        topology: Topology,
-        src_slot: int,
-        dst_slot: int,
-        value: float,
-        loads: EdgeLoads,
-    ) -> list[tuple[list, float]]:
-        graph = self._search_graph(topology, src_slot, dst_slot)
-        src, dst = term(src_slot), term(dst_slot)
-        chunk_bw = value / self.chunks
-        paths = []
-        for _ in range(self.chunks):
-            path = self._chunk_path(graph, src, dst, loads, chunk_bw)
-            loads.add_path(path, chunk_bw)
-            paths.append((path, chunk_bw))
-        return _merge(paths)
 
 
 class SplitMinPathRouting(_SplitRoutingBase):
@@ -91,8 +68,8 @@ class SplitMinPathRouting(_SplitRoutingBase):
         """True when the quadrant has a single minimum-hop path: SM's
         hop-dominant chunk searches are all forced onto it, so the whole
         commodity routes identically under any ledger."""
-        unique, _, _ = quadrant_search_entry(topology, src_slot, dst_slot)
-        return unique is not None
+        entry = quadrant_search_entry(topology, src_slot, dst_slot)
+        return entry.path is not None
 
     def route_commodity(
         self,
@@ -102,26 +79,23 @@ class SplitMinPathRouting(_SplitRoutingBase):
         value: float,
         loads: EdgeLoads,
     ) -> list[tuple[list, float]]:
-        # Hop count dominates SM's weight, so a quadrant with a single
-        # minimum-hop path forces every chunk onto it: record each
-        # chunk's traffic separately (the ledger accumulates exactly as
-        # in the per-chunk search) without re-searching.
-        unique, succ, num_nodes = quadrant_search_entry(
-            topology, src_slot, dst_slot
-        )
+        index = topology.graph_index
+        vals = loads.bind(index)
+        entry = quadrant_search_entry(topology, src_slot, dst_slot)
         chunk_bw = value / self.chunks
-        if unique is not None:
-            path = list(unique)
+        if entry.path is not None:
+            # Hop count dominates SM's weight, so a quadrant with a
+            # single minimum-hop path forces every chunk onto it: record
+            # each chunk's traffic separately (the ledger accumulates
+            # exactly as in the per-chunk search) without re-searching.
             for _ in range(self.chunks):
-                loads.add_path(path, chunk_bw)
-            return _merge([(path, chunk_bw)] * self.chunks)
-        src, dst = term(src_slot), term(dst_slot)
-        loads_map = loads.edge_map
+                loads.add_ids(entry.eids, chunk_bw)
+            return _merge([(list(entry.path), chunk_bw)] * self.chunks)
         paths = []
         for _ in range(self.chunks):
-            scale = hop_scale(loads, chunk_bw, num_nodes)
-            path = _dijkstra_min_hop(succ, src, dst, loads_map, scale)
-            loads.add_path(path, chunk_bw)
+            scale = hop_scale(loads, chunk_bw, entry.num_nodes)
+            path, eids = min_hop_search(index, entry, vals, scale)
+            loads.add_ids(eids, chunk_bw)
             paths.append((path, chunk_bw))
         return _merge(paths)
 
@@ -140,8 +114,22 @@ class SplitAllPathRouting(_SplitRoutingBase):
     def __init__(self, chunks: int = 2 * DEFAULT_CHUNKS):
         super().__init__(chunks)
 
-    def _search_graph(self, topology, src_slot, dst_slot):
-        return topology_routing_view(topology, src_slot, dst_slot)
-
-    def _chunk_path(self, graph, src, dst, loads, value):
-        return load_then_hops(graph, src, dst, loads, value)
+    def route_commodity(
+        self,
+        topology: Topology,
+        src_slot: int,
+        dst_slot: int,
+        value: float,
+        loads: EdgeLoads,
+    ) -> list[tuple[list, float]]:
+        index = topology.graph_index
+        vals = loads.bind(index)
+        entry = view_search_entry(topology, src_slot, dst_slot)
+        chunk_bw = value / self.chunks
+        paths = []
+        for _ in range(self.chunks):
+            eps = least_load_eps(loads, chunk_bw)
+            path, eids = least_load_search(index, entry, vals, eps)
+            loads.add_ids(eids, chunk_bw)
+            paths.append((path, chunk_bw))
+        return _merge(paths)

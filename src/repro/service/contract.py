@@ -51,6 +51,16 @@ CACHE_CONTROLS = ("default", "refresh", "bypass")
 _ROUTINGS = ("DO", "MP", "SM", "SA")
 _OBJECTIVES = ("hops", "area", "power", "bandwidth")
 
+#: Upper bounds on a campaign's size, so no request can ask for
+#: unbounded simulation work: cycles per phase (``warmup``, ``measure``,
+#: ``drain``), cores of a synthetic application, faults per fault set,
+#: and items per sweep axis (``rates``, ``patterns``, ``seeds``,
+#: ``fault_seeds``).
+MAX_CYCLES = 1_000_000
+MAX_CORES = 1024
+MAX_FAULTS = 64
+MAX_SWEEP_ITEMS = 64
+
 #: Schema of the request envelope (JSON-Schema draft-07 subset).
 ENVELOPE_SCHEMA = {
     "type": "object",
@@ -124,27 +134,37 @@ PARAM_SCHEMAS = {
             **_APP_PROPERTIES,
             "topology": {"type": "string"},
             "custom_topology": {"type": "object"},
-            "cores": {"type": "integer", "minimum": 2},
+            "cores": {
+                "type": "integer", "minimum": 2, "maximum": MAX_CORES,
+            },
             "rates": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {
                     "type": "number", "exclusiveMinimum": 0, "maximum": 1,
                 },
             },
             "patterns": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "string"},
             },
             "seeds": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "integer"},
             },
-            "warmup": {"type": "integer", "minimum": 0},
-            "measure": {"type": "integer", "minimum": 1},
-            "drain": {"type": "integer", "minimum": 0},
-            "faults": {"type": "integer", "minimum": 0},
+            "warmup": {
+                "type": "integer", "minimum": 0, "maximum": MAX_CYCLES,
+            },
+            "measure": {
+                "type": "integer", "minimum": 1, "maximum": MAX_CYCLES,
+            },
+            "drain": {
+                "type": "integer", "minimum": 0, "maximum": MAX_CYCLES,
+            },
+            "faults": {
+                "type": "integer", "minimum": 0, "maximum": MAX_FAULTS,
+            },
             "fault_seeds": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "integer"},
             },
             "deadline_s": {"type": "number", "exclusiveMinimum": 0},
@@ -227,7 +247,8 @@ def validate(value, schema: dict, path: str = "$") -> None:
 
     Supported keywords: ``type``, ``enum``, ``const``, ``required``,
     ``properties``, ``additionalProperties`` (boolean form), ``items``,
-    ``minimum``, ``exclusiveMinimum``, ``maximum``, ``minItems``. That
+    ``minimum``, ``exclusiveMinimum``, ``maximum``, ``minItems``,
+    ``maxItems``. That
     subset covers the whole contract; anything fancier belongs in
     :func:`parse_request`'s explicit checks, where the error message can
     say *why* the rule exists.
@@ -289,6 +310,10 @@ def validate(value, schema: dict, path: str = "$") -> None:
         if "minItems" in schema and len(value) < schema["minItems"]:
             raise ContractError(
                 f"{path}: needs at least {schema['minItems']} item(s)"
+            )
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            raise ContractError(
+                f"{path}: allows at most {schema['maxItems']} item(s)"
             )
         items = schema.get("items")
         if items is not None:

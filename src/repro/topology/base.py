@@ -71,6 +71,43 @@ def is_switch(node) -> bool:
     return node[0] == SW
 
 
+class GraphIndex:
+    """Dense integer ids for a graph's nodes and directed edges.
+
+    Node ids follow ``graph.nodes`` order and edge ids ``graph.edges()``
+    order, so they never depend on set iteration (or on
+    ``PYTHONHASHSEED``). ``succ[v]`` lists node ``v``'s out-neighbours
+    as ``(node id, edge id)`` pairs in ``graph.adj`` order — the order
+    that decides Dijkstra's heap tie-breaking. Graphs are immutable
+    after construction, so the index is too.
+    """
+
+    __slots__ = ("nodes", "node_ids", "edges", "edge_ids", "edge_src", "succ")
+
+    def __init__(self, graph: nx.DiGraph):
+        #: node id -> node
+        self.nodes = list(graph.nodes)
+        node_ids = self.node_ids = {n: i for i, n in enumerate(self.nodes)}
+        #: edge id -> ``(u, v)``
+        edges = self.edges = []
+        #: edge id -> id of its source node
+        edge_src = self.edge_src = []
+        succ = self.succ = []
+        for i, (v, nbrs) in enumerate(graph.adj.items()):
+            row = []
+            for u in nbrs:
+                row.append((node_ids[u], len(edges)))
+                edges.append((v, u))
+                edge_src.append(i)
+            succ.append(row)
+        self.edge_ids = {e: i for i, e in enumerate(edges)}
+
+    def path_edge_ids(self, path) -> tuple:
+        """Edge ids along a node path."""
+        ids = self.edge_ids
+        return tuple(ids[edge] for edge in zip(path, path[1:]))
+
+
 @dataclass(frozen=True)
 class ResourceSummary:
     """Switch/link counts for a topology instance (Figure 6(b) metric).
@@ -134,12 +171,15 @@ class Topology(ABC):
         state["_switches_cache"] = None
         state["_switch_of_cache"] = None
         state["_channel_mult_cache"] = "unset"
+        state.pop("_graph_index", None)
+        state.pop("_link_ids_cache", None)
         # Caches attached by the simulator / estimator / routing layers.
         state.pop("_sim_layout_cache", None)
         state.pop("_phys_tables_cache", None)
         state.pop("_static_power_cache", None)
-        state.pop("_mp_search_cache", None)
-        state.pop("_routing_view_cache", None)
+        state.pop("_quadrant_entry_cache", None)
+        state.pop("_view_entry_cache", None)
+        state.pop("_dor_entry_cache", None)
         state.pop("_search_edges_cache", None)
         return state
 
@@ -153,6 +193,21 @@ class Topology(ABC):
             self._graph = self._build()
             self._annotate_lengths(self._graph)
         return self._graph
+
+    @property
+    def graph_index(self) -> GraphIndex:
+        """Integer ids of the graph's nodes and edges (built once).
+
+        Ledgers built on the index compare it by identity, so threads
+        racing on the first call must keep one: ``dict.setdefault``
+        stores only the first.
+        """
+        index = self.__dict__.get("_graph_index")
+        if index is None:
+            index = self.__dict__.setdefault(
+                "_graph_index", GraphIndex(self.graph)
+            )
+        return index
 
     @abstractmethod
     def _build(self) -> nx.DiGraph:
@@ -198,6 +253,26 @@ class Topology(ABC):
                 if d["kind"] == "core"
             ]
         return self._core_edges_cache
+
+    def link_ids(self) -> tuple[list, list | None, list]:
+        """``(net edge ids, their channel counts, core edge ids)`` in
+        :meth:`net_edges` / :meth:`core_edges` order (cached).
+
+        The channel counts are ``None`` when every channel is single,
+        as with :meth:`channel_multiplicities`. The bandwidth checks
+        read the routing ledger through these ids.
+        """
+        cached = self.__dict__.get("_link_ids_cache")
+        if cached is None:
+            ids = self.graph_index.edge_ids
+            mults = self.channel_multiplicities()
+            net = self.net_edges()
+            cached = self.__dict__["_link_ids_cache"] = (
+                [ids[e] for e in net],
+                [mults.get(e, 1) for e in net] if mults else None,
+                [ids[e] for e in self.core_edges()],
+            )
+        return cached
 
     def switch_ports(self, sw) -> tuple[int, int]:
         """(input ports, output ports) of a switch, core ports included.

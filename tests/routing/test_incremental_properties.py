@@ -3,11 +3,11 @@
 The contract of :mod:`repro.routing.incremental` is absolute: evaluating
 a slot swap as a delta against a base routing must equal a from-scratch
 :func:`~repro.core.evaluate.evaluate_mapping` of the swapped assignment
-**exactly** — same paths, float-equal loads (keys and values), hops,
-power, cost and feasibility — for every routing function and topology
-family, across arbitrary swap *sequences* (each step's candidate record
-becomes the next step's base, exercising record promotion, checkpoint
-forks and divergence tracking).
+**exactly** — same paths, float-equal loads (keys, values and
+first-touch order), hops, power, cost and feasibility — for every
+routing function and topology family, across arbitrary swap *sequences*
+(each step's candidate record becomes the next step's base, exercising
+record promotion, checkpoint forks and divergence tracking).
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ def _assert_identical(incremental, scratch):
     assert incremental.power.leakage == scratch.power.leakage
     assert incremental.cost == scratch.cost
     assert incremental.feasible == scratch.feasible
-    inc_loads = dict(incremental.routing_result.loads.items())
-    ref_loads = dict(scratch.routing_result.loads.items())
-    assert inc_loads == ref_loads  # float-exact, same key set
+    inc_loads = list(incremental.routing_result.loads.items())
+    ref_loads = list(scratch.routing_result.loads.items())
+    # Float-exact, same key set, same first-touch order (the bandwidth
+    # objective sums its RMS term in this order).
+    assert inc_loads == ref_loads
     assert (
         incremental.routing_result.loads.total
         == scratch.routing_result.loads.total
@@ -231,3 +233,53 @@ def test_first_dirty_index_orders_by_commodity_rank():
     )[0]
     assert engine.dirty_indices(record, d_slot, free) == {2, 3}
     assert engine.first_dirty_index(record, d_slot, free) == 2
+
+
+@SLOW
+@given(
+    st.integers(5, 9),
+    st.integers(0, 500),
+    st.sampled_from(TOPOLOGIES),
+    st.sampled_from(ROUTINGS),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_bandwidth_cost_of_delta_swaps_is_exact(
+    n_cores, seed, topo_name, code, swaps
+):
+    """The bandwidth objective reads the ledger in first-touch order
+    (its RMS tie-break term is an ordered float sum), so a delta-routed
+    swap must cost exactly what a from-scratch evaluation costs."""
+    app = random_core_graph(n_cores, seed=seed)
+    topology = make_topology(topo_name, 12)
+    routing = make_routing(code)
+    constraints = Constraints()
+    estimator = NetworkEstimator()
+    objective = make_objective("bandwidth")
+    memo = MemoizedMappingEvaluator(
+        app, topology, routing, constraints, estimator
+    )
+    assignment = initial_greedy_mapping(app, topology)
+    for s1, s2 in swaps:
+        s1 %= topology.num_slots
+        s2 %= topology.num_slots
+        try:
+            incremental = memo.evaluate_swap(
+                assignment, s1, s2, with_floorplan=False
+            )
+        except UnsupportedRoutingError:
+            return
+        assignment = swap_assignment(assignment, s1, s2)
+        scratch = evaluate_mapping(
+            app,
+            topology,
+            assignment,
+            routing,
+            constraints,
+            estimator=estimator,
+            with_floorplan=False,
+        )
+        assert objective.cost(incremental) == objective.cost(scratch)

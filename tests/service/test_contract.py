@@ -11,6 +11,10 @@ import pytest
 from repro.errors import ContractError, ReproError, ServiceError
 from repro.service.contract import (
     CONTRACT_VERSION,
+    MAX_CORES,
+    MAX_CYCLES,
+    MAX_FAULTS,
+    MAX_SWEEP_ITEMS,
     DesignResponse,
     error_response,
     parse_request,
@@ -70,6 +74,72 @@ class TestValidator:
             validate([], schema)
         with pytest.raises(ContractError, match=r"\$\[1\]"):
             validate([1, "x"], schema)
+
+    def test_max_items(self):
+        schema = {"type": "array", "maxItems": 2}
+        validate([1, 2], schema)
+        with pytest.raises(ContractError, match="at most 2"):
+            validate([1, 2, 3], schema)
+
+
+def campaign_payload(**params) -> dict:
+    params.setdefault("app", "vopd")
+    params.setdefault("topology", "mesh")
+    return {"v": CONTRACT_VERSION, "kind": "campaign", "params": params}
+
+
+class TestCampaignBounds:
+    """No campaign can ask for unbounded simulation work."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("warmup", MAX_CYCLES + 1, r"\.warmup: .*above the maximum"),
+            ("measure", MAX_CYCLES + 1, r"\.measure: .*above the maximum"),
+            ("drain", MAX_CYCLES + 1, r"\.drain: .*above the maximum"),
+            ("cores", MAX_CORES + 1, r"\.cores: .*above the maximum"),
+            ("faults", MAX_FAULTS + 1, r"\.faults: .*above the maximum"),
+            ("rates", [0.1] * (MAX_SWEEP_ITEMS + 1), r"\.rates: .*at most"),
+            (
+                "patterns",
+                ["uniform"] * (MAX_SWEEP_ITEMS + 1),
+                r"\.patterns: .*at most",
+            ),
+            ("seeds", [1] * (MAX_SWEEP_ITEMS + 1), r"\.seeds: .*at most"),
+            (
+                "fault_seeds",
+                [1] * (MAX_SWEEP_ITEMS + 1),
+                r"\.fault_seeds: .*at most",
+            ),
+        ],
+    )
+    def test_bound_exceeded_is_a_contract_error(self, field, value, message):
+        with pytest.raises(ContractError, match=message):
+            parse_request(campaign_payload(**{field: value}))
+
+    def test_bounds_are_inclusive(self):
+        request = parse_request(
+            campaign_payload(
+                warmup=MAX_CYCLES,
+                measure=MAX_CYCLES,
+                drain=MAX_CYCLES,
+                faults=MAX_FAULTS,
+                rates=[0.1] * MAX_SWEEP_ITEMS,
+                seeds=list(range(MAX_SWEEP_ITEMS)),
+            )
+        )
+        assert request.params["measure"] == MAX_CYCLES
+
+    def test_typical_campaign_stays_valid(self):
+        request = parse_request(
+            campaign_payload(
+                measure=800,
+                seeds=[1],
+                patterns=["app", "uniform"],
+                sim_engine="batch",
+            )
+        )
+        assert request.params["patterns"] == ["app", "uniform"]
 
 
 class TestParseRequest:

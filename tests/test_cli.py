@@ -54,6 +54,32 @@ class TestMapAndSelect:
         out = capsys.readouterr().out
         assert "attempted" in out
 
+    @pytest.mark.parametrize("app", ["vopd", "dsp"])
+    def test_select_independent_of_hash_seed(self, app):
+        """Selection output must not depend on string-hash order: graph
+        ids, quadrants and every float sum follow graph order, never a
+        set's iteration order."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = (
+                str(src) + os.pathsep + env.get("PYTHONPATH", "")
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "select", "--app", app],
+                capture_output=True, text=True, timeout=300, env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert "best:" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_bad_app_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["select", "--app", "doom"])
