@@ -31,30 +31,21 @@ Usage::
     python benchmarks/bench_batchsim.py --smoke --check
         # exit 1 if points/sec regressed > 30% vs the committed record
 
-``--check`` normalizes by the recorded machine-speed calibration (same
-scheme as ``bench_kernel.py``), so the gate measures the code, not the
-runner hardware. A full-budget ``--check`` additionally enforces the
+``--check`` normalizes by the recorded machine-speed calibration
+(``harness.py``), so the gate measures the code, not the runner
+hardware. A full-budget ``--check`` additionally enforces the
 acceptance floor: batch points/sec >= 5x exact, geomean across apps.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
-import time
-from pathlib import Path
 
+import harness
 from repro.apps import load_application
 from repro.simulation.campaign import CampaignConfig, run_campaign
 from repro.topology.library import make_topology
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_batchsim.json"
-
-#: Acceptable points/sec ratio vs the committed numbers before --check
-#: fails (a >30% regression).
-MIN_CHECK_RATIO = 0.7
 
 #: Acceptance floor (full budget only): batch/exact points-per-second
 #: geomean across the paper apps.
@@ -86,23 +77,6 @@ FULL_EXACT_SEEDS = (1, 2)
 SMOKE_RATES = (0.05, 0.1, 0.2)
 SMOKE_SEEDS = tuple(range(1, 9))
 SMOKE_EXACT_SEEDS = (1, 2)
-
-
-def _calibrate(loops: int = 200_000, reps: int = 3) -> float:
-    """Machine-speed proxy (same loop mix as ``bench_kernel.py``)."""
-    best = 0.0
-    cells = list(range(64))
-    table = {i: i + 1 for i in range(64)}
-    for _ in range(reps):
-        start = time.perf_counter()
-        acc = 0
-        get = table.get
-        for i in range(loops):
-            j = i & 63
-            acc += cells[j] + get(j, 0)
-        wall = time.perf_counter() - start
-        best = max(best, loops / wall)
-    return round(best, 1)
 
 
 def _sweep(app_name: str, rates, seeds, sim_engine: str):
@@ -214,7 +188,7 @@ def _measure_budget(rates, seeds, exact_seeds) -> dict:
     speedups = [case["speedup"] for case in cases.values()]
     return {
         "cases": cases,
-        "speedup_geomean": round(_geomean(speedups), 2),
+        "speedup_geomean": round(harness.geomean(speedups), 2),
         "protocol": dict(PROTOCOL),
         "rates": list(rates),
         "seeds": len(seeds),
@@ -227,12 +201,8 @@ def measure(smoke: bool = False) -> dict:
         budget = _measure_budget(SMOKE_RATES, SMOKE_SEEDS, SMOKE_EXACT_SEEDS)
     else:
         budget = _measure_budget(FULL_RATES, FULL_SEEDS, FULL_EXACT_SEEDS)
-    budget["calibration_ops_per_sec"] = _calibrate()
+    budget["calibration_ops_per_sec"] = harness.calibrate()
     return budget
-
-
-def _geomean(values) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def _throughput_ratios(current: dict, reference: dict) -> list[float]:
@@ -248,66 +218,15 @@ def _throughput_ratios(current: dict, reference: dict) -> list[float]:
     return ratios
 
 
-def _check(current: dict, reference: dict) -> bool:
-    """True when throughput regressed beyond the normalized gate."""
-    ratios = _throughput_ratios(current, reference)
-    if not ratios:
-        print("no committed reference cases to check against")
-        return False
-    ratio = _geomean(ratios)
-    committed_cal = reference.get("calibration_ops_per_sec")
-    fresh_cal = current.get("calibration_ops_per_sec")
-    if committed_cal and fresh_cal:
-        machine = fresh_cal / committed_cal
-        normalized = ratio / machine
-        print(
-            f"points/sec vs committed: {ratio:.2f}x raw, machine speed "
-            f"{machine:.2f}x, normalized {normalized:.2f}x "
-            f"(gate: >= {MIN_CHECK_RATIO})"
-        )
-    else:
-        normalized = ratio
-        print(
-            f"points/sec vs committed: {ratio:.2f}x "
-            f"(no calibration recorded; gate: >= {MIN_CHECK_RATIO})"
-        )
-    if normalized < MIN_CHECK_RATIO:
-        print("PERF REGRESSION: campaign points/sec dropped >30%")
-        return True
-    return False
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced budget: 3 rates x 8 seeds per app (CI)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if points/sec regressed more than 30%% versus the "
-        "committed BENCH_batchsim.json (full runs also enforce the "
+    args = harness.parse_args(
+        "batchsim", __doc__, argv,
+        smoke_help="reduced budget: 3 rates x 8 seeds per app (CI)",
+        check_help="exit 1 if points/sec regressed more than 30%% versus "
+        "the committed BENCH_batchsim.json (full runs also enforce the "
         ">= 5x speedup-geomean acceptance floor)",
     )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="output path (default: BENCH_batchsim.json at the repo "
-        "root; --smoke writes BENCH_batchsim.smoke.json so a reduced-"
-        "budget run never clobbers the committed record)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.json is not None:
-        out_path = Path(args.json)
-    elif args.smoke:
-        out_path = BENCH_PATH.with_name("BENCH_batchsim.smoke.json")
-    else:
-        out_path = BENCH_PATH
-
-    committed = {}
-    if BENCH_PATH.exists():
-        committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-
+    committed = harness.load_committed("batchsim")
     current = measure(smoke=args.smoke)
 
     check_failed = False
@@ -319,7 +238,14 @@ def main(argv: list[str] | None = None) -> int:
         reference = committed.get(
             "smoke_reference" if args.smoke else "current", {}
         )
-        check_failed = _check(current, reference)
+        ratios = _throughput_ratios(current, reference)
+        if ratios:
+            check_failed = harness.gate(
+                "points/sec", "campaign points/sec", harness.geomean(ratios),
+                current, reference,
+            )
+        else:
+            print("no committed reference cases to check against")
         if not args.smoke and current["speedup_geomean"] < MIN_SPEEDUP_GEOMEAN:
             print(
                 f"SPEEDUP FLOOR FAIL: geomean "
@@ -340,12 +266,8 @@ def main(argv: list[str] | None = None) -> int:
             "smoke_reference": smoke_reference,
             "smoke": False,
         }
-    out_path.write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    harness.write_record(harness.output_path("batchsim", args), record)
 
-    print(f"wrote {out_path}")
     for app_name, case in current["cases"].items():
         print(
             f"{app_name:8s} exact {case['exact_points_per_sec']:8.1f} pts/s"

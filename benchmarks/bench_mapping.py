@@ -12,8 +12,8 @@ two evaluators of :class:`~repro.core.memo.MemoizedMappingEvaluator`:
 
 Both are measured interleaved in the same process on the same
 candidates, and both produce bit-identical evaluations (asserted while
-measuring). Full-flow seconds are timed elsewhere: ``BENCH_kernel.json``
-and the end-to-end benchmark (``perfbench``).
+measuring). Whole flows are timed elsewhere, by the end-to-end
+benchmark (``perfbench``).
 
 Results land in ``BENCH_mapping.json`` at the repo root: per-case
 numbers, geomeans (overall and MP/SM-only), and a ``notes`` field
@@ -35,39 +35,28 @@ Usage::
 
 ``--check`` compares freshly measured current-path evals/sec against the
 committed ``current`` section *before* rewriting it, normalized by the
-recorded machine-speed calibration, so an engine regression fails CI
+recorded machine-speed calibration (``harness.py``), so an engine regression fails CI
 while machine-to-machine variance does not.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 import time
 from itertools import combinations
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_kernel import _calibrate, _geomean  # noqa: E402
-
-from repro.apps import load_application  # noqa: E402
-from repro.apps.synthetic import random_core_graph  # noqa: E402
-from repro.core.constraints import Constraints  # noqa: E402
-from repro.core.evaluate import evaluate_mapping  # noqa: E402
-from repro.core.greedy import initial_greedy_mapping  # noqa: E402
-from repro.core.memo import MemoizedMappingEvaluator  # noqa: E402
-from repro.physical.estimate import NetworkEstimator  # noqa: E402
-from repro.routing.incremental import swap_assignment  # noqa: E402
-from repro.routing.library import make_routing  # noqa: E402
-from repro.topology.library import make_topology  # noqa: E402
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_mapping.json"
-
-#: Acceptable evals/sec ratio vs the committed numbers before --check
-#: fails (a >30% regression), after machine-speed normalization.
-MIN_CHECK_RATIO = 0.7
+import harness
+from repro.apps import load_application
+from repro.apps.synthetic import random_core_graph
+from repro.core.constraints import Constraints
+from repro.core.evaluate import evaluate_mapping
+from repro.core.greedy import initial_greedy_mapping
+from repro.core.memo import MemoizedMappingEvaluator
+from repro.physical.estimate import NetworkEstimator
+from repro.routing.incremental import swap_assignment
+from repro.routing.library import make_routing
+from repro.topology.library import make_topology
 
 #: Honest context for readers of the committed record.
 NOTES = (
@@ -85,8 +74,7 @@ NOTES = (
     "dsp is consistently below parity: the engine's bookkeeping "
     "outweighs routing a handful of commodities). Those cases are cheap "
     "either way; end to end the paper flows stay within noise (perfbench "
-    "paper_flows). Whole flows are timed by BENCH_kernel.json and "
-    "perfbench, not here."
+    "paper_flows). Whole flows are timed by perfbench, not here."
 )
 
 
@@ -201,7 +189,7 @@ def measure(smoke: bool = False, reps: int = 4) -> tuple[dict, dict]:
         old, new = measure_evals(app_name, topo_name, code, reps, limit)
         base_evals[label] = old
         cur_evals[label] = new
-    calibration = _calibrate()
+    calibration = harness.calibrate()
     baseline = {
         "evals_per_sec": base_evals,
         "calibration_ops_per_sec": calibration,
@@ -233,75 +221,34 @@ def _speedups(baseline: dict, current: dict) -> dict:
         per_case[case] = ratio
         if case.rsplit("-", 1)[-1] in ("MP", "SM"):
             mp_sm.append(new / old)
-    overall = _geomean(list(per_case.values()))
+    overall = harness.geomean(per_case.values())
     return {
         "evals_per_sec": per_case,
         "evals_per_sec_geomean": None if overall is None else round(overall, 2),
         "evals_per_sec_mp_sm_geomean": (
-            None if not mp_sm else round(_geomean(mp_sm), 2)
+            None if not mp_sm else round(harness.geomean(mp_sm), 2)
         ),
     }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced budget: three eval cases, two reps",
+    args = harness.parse_args(
+        "mapping", __doc__, argv,
+        smoke_help="reduced budget: three eval cases, two reps",
+        check_help="exit 1 if current-path evals/sec regressed more than "
+        "30%% versus the committed BENCH_mapping.json",
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if current-path evals/sec regressed more than 30%% "
-        "versus the committed BENCH_mapping.json",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="output path (default: BENCH_mapping.json at the repo root; "
-        "--smoke writes BENCH_mapping.smoke.json so a reduced-budget run "
-        "never clobbers the committed record)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.json is not None:
-        out_path = Path(args.json)
-    elif args.smoke:
-        out_path = BENCH_PATH.with_name("BENCH_mapping.smoke.json")
-    else:
-        out_path = BENCH_PATH
-
-    committed = {}
-    if BENCH_PATH.exists():
-        committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-
+    committed = harness.load_committed("mapping")
     baseline, current = measure(smoke=args.smoke)
 
-    # Regression gate: fresh current-path evals/sec vs the committed
-    # current, normalized by the machine-speed calibration.
     check_failed = False
     if args.check and committed.get("current"):
-        ratio = _geomean(_eval_ratios(current, committed["current"]))
+        ratio = harness.geomean(_eval_ratios(current, committed["current"]))
         if ratio is not None:
-            committed_cal = committed["current"].get(
-                "calibration_ops_per_sec"
+            check_failed = harness.gate(
+                "evals/sec", "mapping evals/sec", ratio, current,
+                committed["current"],
             )
-            fresh_cal = current.get("calibration_ops_per_sec")
-            if committed_cal and fresh_cal:
-                machine = fresh_cal / committed_cal
-                normalized = ratio / machine
-                print(
-                    f"evals/sec vs committed: {ratio:.2f}x raw, machine "
-                    f"speed {machine:.2f}x, normalized {normalized:.2f}x "
-                    f"(gate: >= {MIN_CHECK_RATIO})"
-                )
-            else:
-                normalized = ratio
-                print(
-                    f"evals/sec vs committed: {ratio:.2f}x "
-                    f"(no calibration recorded; gate: >= {MIN_CHECK_RATIO})"
-                )
-            if normalized < MIN_CHECK_RATIO:
-                print("PERF REGRESSION: mapping evals/sec dropped >30%")
-                check_failed = True
 
     record = {
         "schema": 1,
@@ -311,12 +258,8 @@ def main(argv: list[str] | None = None) -> int:
         "notes": NOTES,
         "smoke": args.smoke,
     }
-    out_path.write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    harness.write_record(harness.output_path("mapping", args), record)
 
-    print(f"wrote {out_path}")
     for case, new in current["evals_per_sec"].items():
         old = baseline["evals_per_sec"][case]
         print(

@@ -20,16 +20,16 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs.py
     PYTHONPATH=src python benchmarks/bench_obs.py --smoke --check
+    PYTHONPATH=src python benchmarks/bench_obs.py --smoke --json PATH
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
+import harness
 from repro.apps import vopd
 from repro.core.greedy import initial_greedy_mapping
 from repro.obs import JsonlSink, add_sink, get_registry, remove_sink, span
@@ -39,8 +39,6 @@ from repro.simulation.campaign import (
     strip_runtime,
 )
 from repro.topology.library import make_topology
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 #: The documented overhead ceiling (docs/OBSERVABILITY.md).
 BUDGET = 0.05
@@ -95,22 +93,12 @@ def campaign_once(app, topology, assignment, config) -> tuple[float, dict]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced budget (CI)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail if overhead exceeds the 5%% budget")
-    parser.add_argument("--output", default=None,
-                        help="record path (default: BENCH_obs.json at the "
-                        "repo root, or BENCH_obs.smoke.json with --smoke "
-                        "so reduced-budget CI runs never clobber the "
-                        "committed record)")
-    args = parser.parse_args(argv)
-    if args.output is None:
-        args.output = str(
-            BENCH_PATH.with_name("BENCH_obs.smoke.json")
-            if args.smoke else BENCH_PATH
-        )
+    args = harness.parse_args(
+        "obs", __doc__, argv,
+        smoke_help="reduced budget (CI)",
+        check_help="fail if overhead exceeds the 5%% budget",
+    )
+    out_path = harness.output_path("obs", args)
 
     reps = 2 if args.smoke else 4
     measure = 400 if args.smoke else 2000
@@ -134,7 +122,7 @@ def main(argv=None) -> int:
 
     traced_times, untraced_times = [], []
     traced_payload = untraced_payload = None
-    trace_file = Path(args.output).with_suffix(".trace.jsonl")
+    trace_file = out_path.with_suffix(".trace.jsonl")
     for _ in range(reps):
         wall, untraced_payload = campaign_once(
             app, topology, assignment, config
@@ -193,9 +181,7 @@ def main(argv=None) -> int:
         },
         "bit_identical": True,
     }
-    Path(args.output).write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    harness.write_record(out_path, record)
 
     print(
         f"untraced {untraced:.3f}s, traced {traced:.3f}s -> tracing "
@@ -208,7 +194,6 @@ def main(argv=None) -> int:
         f"disabled span {costs['span_noop_s'] * 1e9:.0f}ns -> always-on "
         f"metrics {metrics_overhead * 100:.4f}% of this workload"
     )
-    print(f"record written to {args.output}")
 
     if args.check:
         failures = []

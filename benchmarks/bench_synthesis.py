@@ -36,26 +36,15 @@ committed record.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_kernel import _calibrate, _geomean  # noqa: E402
-
-from repro.apps import load_application  # noqa: E402
-from repro.core.constraints import Constraints  # noqa: E402
-from repro.sunmap import DEFAULT_ROUTING_FALLBACKS, run_sunmap  # noqa: E402
-from repro.synthesis import SynthesisConfig, synthesize_topologies  # noqa: E402
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_synthesis.json"
-
-#: Acceptable candidates/sec ratio vs the committed record before
-#: --check fails (>30% regression), after machine-speed normalization.
-MIN_CHECK_RATIO = 0.7
+import harness
+from repro.apps import load_application
+from repro.core.constraints import Constraints
+from repro.sunmap import DEFAULT_ROUTING_FALLBACKS, run_sunmap
+from repro.synthesis import SynthesisConfig, synthesize_topologies
 
 APPS = ("vopd", "mpeg4", "dsp", "netproc")
 SMOKE_APPS = ("vopd", "dsp")
@@ -190,14 +179,14 @@ def measure(smoke: bool = False) -> dict:
         "improvement_geomean": (
             None
             if not improvements
-            else round(_geomean(improvements), 3)
+            else round(harness.geomean(improvements), 3)
         ),
         "candidates_per_sec": (
             round(total_candidates / total_seconds, 2)
             if total_seconds > 0
             else None
         ),
-        "calibration_ops_per_sec": _calibrate(),
+        "calibration_ops_per_sec": harness.calibrate(),
     }
 
 
@@ -217,35 +206,14 @@ def _shared_rate(record: dict, apps: list[str]) -> float | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced budget: vopd + dsp only",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when synthesized fabrics lose their committed wins "
-        "or synthesis throughput regressed more than 30%% "
+    args = harness.parse_args(
+        "synthesis", __doc__, argv,
+        smoke_help="reduced budget: vopd + dsp only",
+        check_help="exit 1 when synthesized fabrics lose their committed "
+        "wins or synthesis throughput regressed more than 30%% "
         "(calibration-normalized) vs BENCH_synthesis.json",
     )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="output path (default: BENCH_synthesis.json at the repo "
-        "root; --smoke writes BENCH_synthesis.smoke.json)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.json is not None:
-        out_path = Path(args.json)
-    elif args.smoke:
-        out_path = BENCH_PATH.with_name("BENCH_synthesis.smoke.json")
-    else:
-        out_path = BENCH_PATH
-
-    committed = {}
-    if BENCH_PATH.exists():
-        committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-
+    committed = harness.load_committed("synthesis")
     current = measure(smoke=args.smoke)
 
     min_wins = MIN_WINS_SMOKE if args.smoke else MIN_WINS_FULL
@@ -272,26 +240,10 @@ def main(argv: list[str] | None = None) -> int:
         cur_rate = _shared_rate(current, shared)
         ref_rate = _shared_rate(ref, shared)
         if cur_rate and ref_rate:
-            ratio = cur_rate / ref_rate
-            committed_cal = ref.get("calibration_ops_per_sec")
-            fresh_cal = current.get("calibration_ops_per_sec")
-            if committed_cal and fresh_cal:
-                machine = fresh_cal / committed_cal
-                normalized = ratio / machine
-                print(
-                    f"candidates/sec vs committed: {ratio:.2f}x raw, "
-                    f"machine speed {machine:.2f}x, normalized "
-                    f"{normalized:.2f}x (gate: >= {MIN_CHECK_RATIO})"
-                )
-            else:
-                normalized = ratio
-                print(
-                    f"candidates/sec vs committed: {ratio:.2f}x "
-                    f"(no calibration recorded; gate: >= {MIN_CHECK_RATIO})"
-                )
-            if normalized < MIN_CHECK_RATIO:
-                print("PERF REGRESSION: synthesis throughput dropped >30%")
-                check_failed = True
+            check_failed |= harness.gate(
+                "candidates/sec", "synthesis throughput",
+                cur_rate / ref_rate, current, ref,
+            )
 
     record = {
         "schema": 1,
@@ -299,11 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "notes": NOTES,
         "smoke": args.smoke,
     }
-    out_path.write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {out_path}")
+    harness.write_record(harness.output_path("synthesis", args), record)
 
     for name, entry in current["apps"].items():
         lib = entry["library"]

@@ -576,6 +576,7 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json
 
+    from repro.io import reject_non_finite
     from repro.service import submit
 
     if args.file:
@@ -586,17 +587,21 @@ def cmd_submit(args) -> int:
     raw = raw.strip()
     if not raw:
         raise ReproError("no requests given (pass --file or pipe JSON in)")
+    # Accept one JSON value (object or array of objects) or JSON-lines,
+    # the same format the wire protocol uses: decode the whole document
+    # first, and only a document that is not one JSON value is split
+    # into lines. A ``NaN``/``Infinity`` token fails either way
+    # (``reject_non_finite`` raises a plain ``ValueError``).
     try:
-        # Accept one JSON value (object or array of objects) or
-        # JSON-lines, the same format the wire protocol uses.
-        if raw.lstrip().startswith(("[", "{")) and "\n{" not in raw:
-            parsed = json.loads(raw)
+        try:
+            parsed = json.loads(raw, parse_constant=reject_non_finite)
             payloads = parsed if isinstance(parsed, list) else [parsed]
-        else:
+        except json.JSONDecodeError:
             payloads = [
-                json.loads(line) for line in raw.splitlines() if line.strip()
+                json.loads(line, parse_constant=reject_non_finite)
+                for line in raw.splitlines() if line.strip()
             ]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ReproError(f"invalid request JSON: {exc}") from None
     try:
         responses = submit(payloads, host=args.host, port=args.port)

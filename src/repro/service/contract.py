@@ -51,15 +51,18 @@ CACHE_CONTROLS = ("default", "refresh", "bypass")
 _ROUTINGS = ("DO", "MP", "SM", "SA")
 _OBJECTIVES = ("hops", "area", "power", "bandwidth")
 
-#: Upper bounds on a campaign's size, so no request can ask for
-#: unbounded simulation work: cycles per phase (``warmup``, ``measure``,
-#: ``drain``), cores of a synthetic application, faults per fault set,
-#: and items per sweep axis (``rates``, ``patterns``, ``seeds``,
-#: ``fault_seeds``).
+#: Upper bounds on a request's size, so no request can ask for
+#: unbounded work: cycles per phase (``warmup``, ``measure``,
+#: ``drain``), cores of a synthetic application, faults per fault set
+#: (and ``fault_tolerance``), items per sweep axis (``rates``,
+#: ``patterns``, ``seeds``, ``fault_seeds``, and synthesis's
+#: ``strategies``, ``concentrations``, ``max_switch_degrees``), and
+#: synthesized candidates evaluated per request.
 MAX_CYCLES = 1_000_000
 MAX_CORES = 1024
 MAX_FAULTS = 64
 MAX_SWEEP_ITEMS = 64
+MAX_CANDIDATES = 64
 
 #: Schema of the request envelope (JSON-Schema draft-07 subset).
 ENVELOPE_SCHEMA = {
@@ -98,7 +101,9 @@ PARAM_SCHEMAS = {
             },
             "fallback": {"type": "boolean"},
             "synthesize": {"type": "boolean"},
-            "fault_tolerance": {"type": "integer", "minimum": 0},
+            "fault_tolerance": {
+                "type": "integer", "minimum": 0, "maximum": MAX_FAULTS,
+            },
         },
     },
     "synthesize": {
@@ -112,19 +117,23 @@ PARAM_SCHEMAS = {
                 "type": "number", "exclusiveMinimum": 0,
             },
             "strategies": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "string"},
             },
             "concentrations": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "integer", "minimum": 1},
             },
             "max_switch_degrees": {
-                "type": "array", "minItems": 1,
+                "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
                 "items": {"type": "integer", "minimum": 1},
             },
-            "max_candidates": {"type": "integer", "minimum": 1},
-            "fault_tolerance": {"type": "integer", "minimum": 0},
+            "max_candidates": {
+                "type": "integer", "minimum": 1, "maximum": MAX_CANDIDATES,
+            },
+            "fault_tolerance": {
+                "type": "integer", "minimum": 0, "maximum": MAX_FAULTS,
+            },
         },
     },
     "campaign": {

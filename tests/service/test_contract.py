@@ -6,20 +6,27 @@ two are maintained in lockstep.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from repro.cli import _csv, build_parser
 from repro.errors import ContractError, ReproError, ServiceError
 from repro.service.contract import (
     CONTRACT_VERSION,
+    MAX_CANDIDATES,
     MAX_CORES,
     MAX_CYCLES,
     MAX_FAULTS,
     MAX_SWEEP_ITEMS,
+    PARAM_DEFAULTS,
     DesignResponse,
     error_response,
     parse_request,
     validate,
 )
+from repro.simulation.campaign import CampaignConfig
+from repro.synthesis import SynthesisConfig
 
 
 def select_payload(**params) -> dict:
@@ -140,6 +147,133 @@ class TestCampaignBounds:
             )
         )
         assert request.params["patterns"] == ["app", "uniform"]
+
+
+def synthesize_payload(**params) -> dict:
+    params.setdefault("app", "vopd")
+    return {"v": CONTRACT_VERSION, "kind": "synthesize", "params": params}
+
+
+class TestDesignBounds:
+    """No select/synthesize request can ask for an unbounded sweep."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                synthesize_payload(
+                    strategies=["greedy"] * (MAX_SWEEP_ITEMS + 1)
+                ),
+                r"\.strategies: .*at most",
+            ),
+            (
+                synthesize_payload(
+                    concentrations=list(range(1, MAX_SWEEP_ITEMS + 2))
+                ),
+                r"\.concentrations: .*at most",
+            ),
+            (
+                synthesize_payload(
+                    max_switch_degrees=list(range(1, MAX_SWEEP_ITEMS + 2))
+                ),
+                r"\.max_switch_degrees: .*at most",
+            ),
+            (
+                synthesize_payload(max_candidates=MAX_CANDIDATES + 1),
+                r"\.max_candidates: .*above the maximum",
+            ),
+            (
+                synthesize_payload(fault_tolerance=MAX_FAULTS + 1),
+                r"\.fault_tolerance: .*above the maximum",
+            ),
+            (
+                select_payload(fault_tolerance=MAX_FAULTS + 1),
+                r"\.fault_tolerance: .*above the maximum",
+            ),
+        ],
+    )
+    def test_bound_exceeded_is_a_contract_error(self, payload, message):
+        with pytest.raises(ContractError, match=message):
+            parse_request(payload)
+
+    def test_bounds_are_inclusive(self):
+        request = parse_request(
+            synthesize_payload(
+                strategies=["greedy"] * MAX_SWEEP_ITEMS,
+                concentrations=list(range(1, MAX_SWEEP_ITEMS + 1)),
+                max_switch_degrees=list(range(1, MAX_SWEEP_ITEMS + 1)),
+                max_candidates=MAX_CANDIDATES,
+                fault_tolerance=MAX_FAULTS,
+            )
+        )
+        assert request.params["max_candidates"] == MAX_CANDIDATES
+        request = parse_request(select_payload(fault_tolerance=MAX_FAULTS))
+        assert request.params["fault_tolerance"] == MAX_FAULTS
+
+
+def _declared_defaults(config_class, names) -> dict:
+    """Dataclass field defaults as declared (a ``CampaignConfig``
+    instance normalizes ``fault_seeds`` away when ``faults == 0``)."""
+    declared = {f.name: f.default for f in fields(config_class)}
+    return {name: declared[name] for name in names}
+
+
+class TestFrontDoorDefaults:
+    """The service contract, the CLI and the library agree on defaults."""
+
+    SYNTHESIS = _declared_defaults(
+        SynthesisConfig,
+        ("strategies", "concentrations", "max_switch_degrees",
+         "max_candidates", "fault_tolerance"),
+    )
+    CAMPAIGN = _declared_defaults(
+        CampaignConfig,
+        ("rates", "patterns", "seeds", "warmup", "measure", "drain",
+         "faults", "fault_seeds"),
+    )
+
+    @staticmethod
+    def _tuples(params: dict, names) -> dict:
+        """``params`` restricted to ``names``, JSON lists as tuples."""
+        return {
+            name: tuple(params[name])
+            if isinstance(params[name], list) else params[name]
+            for name in names
+        }
+
+    def test_service_synthesize_defaults_are_the_library_defaults(self):
+        assert self._tuples(
+            PARAM_DEFAULTS["synthesize"], self.SYNTHESIS
+        ) == self.SYNTHESIS
+
+    def test_service_campaign_defaults_are_the_library_defaults(self):
+        assert self._tuples(
+            PARAM_DEFAULTS["campaign"], self.CAMPAIGN
+        ) == self.CAMPAIGN
+
+    def test_cli_synthesize_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["synthesize", "--app", "vopd"])
+        assert {
+            "strategies": _csv(args.strategies, str),
+            "concentrations": _csv(args.concentrations, int),
+            "max_switch_degrees": _csv(args.degrees, int),
+            "max_candidates": args.max_candidates,
+            "fault_tolerance": args.fault_tolerance,
+        } == self.SYNTHESIS
+
+    def test_cli_simulate_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(
+            ["simulate", "--app", "vopd", "--topology", "mesh"]
+        )
+        assert {
+            "patterns": _csv(args.patterns, str),
+            "seeds": _csv(args.seeds, int),
+            "faults": args.faults,
+            "fault_seeds": _csv(args.fault_seeds, int),
+        } == {
+            field: self.CAMPAIGN[field]
+            for field in ("patterns", "seeds", "faults", "fault_seeds")
+        }
 
 
 class TestParseRequest:

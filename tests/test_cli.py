@@ -1,5 +1,7 @@
 """CLI smoke and behaviour tests (each subcommand end to end)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -265,3 +267,66 @@ class TestSimulateAndGenerate:
         out = capsys.readouterr().out
         assert "DO" in out and "SA" in out
         assert "Pareto" in out
+
+
+class TestSubmitInput:
+    """``sunmap submit`` decodes its input without reaching a server."""
+
+    REQUESTS = [
+        {"v": 1, "id": "a", "kind": "health", "params": {}},
+        {"v": 1, "id": "b", "kind": "select", "params": {"app": "vopd"}},
+    ]
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        calls = []
+
+        def fake_submit(payloads, host, port):
+            calls.append(payloads)
+            return [{"id": p.get("id"), "ok": True} for p in payloads]
+
+        monkeypatch.setattr("repro.service.submit", fake_submit)
+        return calls
+
+    def submit_text(self, tmp_path, text):
+        path = tmp_path / "requests.json"
+        path.write_text(text, encoding="utf-8")
+        return main(["submit", "--file", str(path), "--compact"])
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_json_array(self, tmp_path, sent, indent):
+        # indent=0 puts every object at column 0, so the text contains
+        # "\n{" although it is one JSON array, not JSON-lines.
+        text = json.dumps(self.REQUESTS, indent=indent)
+        assert self.submit_text(tmp_path, text) == 0
+        assert sent == [self.REQUESTS]
+
+    def test_single_object(self, tmp_path, sent):
+        text = json.dumps(self.REQUESTS[0], indent=0)
+        assert self.submit_text(tmp_path, text) == 0
+        assert sent == [self.REQUESTS[:1]]
+
+    def test_json_lines(self, tmp_path, sent):
+        text = "\n".join(json.dumps(r) for r in self.REQUESTS) + "\n"
+        assert self.submit_text(tmp_path, text) == 0
+        assert sent == [self.REQUESTS]
+
+    @pytest.mark.parametrize("text", [
+        '[{"v": 1, "kind": "campaign", "params": {"rates": [NaN]}}]',
+        '{"v": 1, "kind": "health", "params": {}}\n'
+        '{"v": 1, "kind": "campaign", "params": {"rates": [Infinity]}}',
+    ])
+    def test_non_finite_is_a_one_line_error(self, tmp_path, sent, capsys,
+                                            text):
+        assert self.submit_text(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid request JSON: non-finite")
+        assert err.count("\n") == 1
+        assert sent == []
+
+    def test_malformed_is_a_one_line_error(self, tmp_path, sent, capsys):
+        assert self.submit_text(tmp_path, '[{"v": 1,') == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid request JSON:"
+        )
+        assert sent == []
