@@ -12,6 +12,7 @@ commodities in decreasing order of value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -109,10 +110,18 @@ class CoreGraph:
         """Add a core and return its index.
 
         Raises:
-            CoreGraphError: on duplicate names or non-positive area.
+            CoreGraphError: on duplicate names, non-positive area, bad
+                aspect bounds, or a non-finite area or aspect bound.
         """
         if name in self._by_name:
             raise CoreGraphError(f"duplicate core name: {name!r}")
+        for field, value in (
+            ("area_mm2", area_mm2),
+            ("aspect_min", aspect_min),
+            ("aspect_max", aspect_max),
+        ):
+            if not math.isfinite(value):
+                raise CoreGraphError(f"core {name!r} has non-finite {field}")
         if area_mm2 <= 0:
             raise CoreGraphError(f"core {name!r} must have positive area")
         if aspect_min <= 0 or aspect_max < aspect_min:

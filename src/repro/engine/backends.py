@@ -49,8 +49,10 @@ _WRITE_ERRORS = obs_metrics.REGISTRY.counter(
 #: Version of the on-disk payload schema. Bump when the pickled result
 #: types or the cache-key composition change incompatibly; stores written
 #: under another version are discarded on open (cold start, never a
-#: crash and never stale payloads).
-SCHEMA_VERSION = 1
+#: crash and never stale payloads). Version 2: floorplans come from the
+#: exact column-decomposed solver, whose floats can differ in the last
+#: bits from the general LP solver's that version 1 stores hold.
+SCHEMA_VERSION = 2
 
 
 def key_fingerprint(key: tuple) -> str:

@@ -41,6 +41,11 @@ class Block:
     aspect_max: float = 3.0
 
     def __post_init__(self):
+        for field in ("area_mm2", "aspect_min", "aspect_max"):
+            if not math.isfinite(getattr(self, field)):
+                raise FloorplanError(
+                    f"block {self.name!r} has non-finite {field}"
+                )
         if self.area_mm2 <= 0:
             raise FloorplanError(f"block {self.name!r} needs positive area")
         if self.aspect_min <= 0 or self.aspect_max < self.aspect_min:

@@ -1,30 +1,35 @@
 """LP-based floorplanner (paper Section 5, after [21]).
 
 Given the column structure from :mod:`repro.floorplan.positions` (the
-relative positions implied by the mapping), a single linear program finds
-exact positions and soft-block sizes minimizing chip width + height:
+relative positions implied by the mapping), one linear program sizes the
+blocks to minimize chip width + height: blocks stack in their column a
+channel apart, a column is as wide as its widest block plus a channel,
+hard blocks are fixed squares, soft blocks choose a width within their
+aspect range with ``h >= A / w`` approximated from below by
+``TANGENT_CUTS`` tangent cuts, and the chip aspect ratio is bounded by
+``max_aspect`` both ways. A legalization pass then restores exact areas
+and re-stacks the columns, so the result is overlap-free and
+area-conserving even where the tangent approximation was loose.
 
-* variables: column boundaries, per-block ``(y, w, h)``, chip height H;
-* hard blocks are fixed squares, soft blocks choose a width within their
-  aspect-ratio range, with the non-linear area law ``h >= A / w``
-  approximated from below by tangent cuts (a standard LP floorplanning
-  linearization);
-* after the LP, a legalization pass restores exact areas
-  (``h = max(h_lp, A / w)``) and re-stacks columns, so the result is
-  always overlap-free and area-conserving even where the tangent
-  approximation was loose.
-
-The resulting block rectangles give the design area / aspect-ratio
-feasibility checks and the link lengths used for power estimation.
+The LP is solved exactly by column decomposition rather than by a
+general solver. Block offsets ``y`` and heights ``h`` need not be
+variables: at a given column width each block takes its lowest height,
+and legalization reads only the column widths. A column's stack height
+is thus convex, piecewise linear and non-increasing in its width, and so
+is ``D(H)``, the least chip width at which every column fits in height
+``H``. The LP becomes "minimize ``max(D(H), H / a) + H`` subject to
+``D(H) <= a * H``", a convex piecewise-linear function of ``H`` whose
+minimum lies at a kink of some column or on an aspect line. Where
+several ``H`` tie (a flat segment, within ``_TIE_RTOL``), the largest is
+taken, so the floorplan is a documented vertex, not whichever optimal
+vertex a solver happens to return.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.coregraph import CoreGraph
 from repro.errors import FloorplanError
@@ -38,6 +43,9 @@ DEFAULT_CHANNEL_MM = 0.15
 
 #: Number of tangent cuts approximating h >= A/w for soft blocks.
 TANGENT_CUTS = 5
+
+#: Relative gap within which two chip perimeters W + H tie.
+_TIE_RTOL = 1e-12
 
 #: Shortest physical link length accounted (same-tile connections), mm.
 MIN_LINK_MM = 0.05
@@ -74,18 +82,6 @@ class FloorplanResult:
         return max(0.0, 1.0 - self.block_area_mm2 / self.area_mm2)
 
     # ------------------------------------------------------------------
-    def node_center(self, topology: Topology, assignment: dict, node):
-        """Physical center of a topology-graph node, or None if pruned."""
-        if is_term(node):
-            slot_to_core = {s: c for c, s in assignment.items()}
-            core = slot_to_core.get(node[1])
-            if core is None:
-                return None
-            rect = self.rects.get(("core", core))
-        else:
-            rect = self.rects.get(node)
-        return rect.center if rect is not None else None
-
     def link_lengths(
         self, topology: Topology, assignment: dict
     ) -> dict[tuple, float]:
@@ -130,109 +126,127 @@ class FloorplanResult:
 
 
 # ----------------------------------------------------------------------
+def _convex_pwl(
+    x0: float, y0: float, slope: float, kinks: list[tuple[float, float]]
+) -> tuple[list[float], list[float], list[float]]:
+    """A piecewise-linear function from its start and its kinks.
+
+    ``kinks`` are ``(x, slope increase)``. Returns ``(xs, ys, slopes)``:
+    the function passes through ``(xs[k], ys[k])`` with slope
+    ``slopes[k]`` right of ``xs[k]``, and is flat beyond the last point.
+    """
+    xs, ys, slopes = [x0], [y0], [slope]
+    for x, rise in sorted(kinks):
+        if x > xs[-1]:
+            ys.append(ys[-1] + slopes[-1] * (x - xs[-1]))
+            xs.append(x)
+            slopes.append(slopes[-1])
+        slopes[-1] += rise
+    slopes[-1] = 0.0
+    return xs, ys, slopes
+
+
+def _stack_profile(column: list[Block], channel: float):
+    """A column's lowest stack height as a function of its inner width.
+
+    A soft block's lowest height is its tangent envelope at
+    ``min(w, width_max)``: tangent ``t`` touches ``A / w`` at ``w_t`` and
+    is active between the harmonic means of ``w_t`` and its neighbours.
+    Hard blocks add their side, neighbours a channel.
+    """
+    lo = max(b.width_min for b in column)
+    height = (len(column) - 1) * channel
+    slope = 0.0
+    kinks: list[tuple[float, float]] = []
+    for block in column:
+        w_lo, w_hi, area = block.width_min, block.width_max, block.area_mm2
+        if not block.is_soft or lo >= w_hi:
+            height += area / w_hi
+            continue
+        points = [
+            w_lo * (w_hi / w_lo) ** (t / max(1, TANGENT_CUTS - 1))
+            for t in range(TANGENT_CUTS)
+        ]
+        height += max(2.0 * area / w0 - area * lo / (w0 * w0) for w0 in points)
+        slopes = [-area / (w0 * w0) for w0 in points] + [0.0]
+        knots = [2.0 * a * b / (a + b) for a, b in zip(points, points[1:])]
+        knots.append(w_hi)
+        first = bisect.bisect_right(knots, lo)
+        slope += slopes[first]
+        kinks += [
+            (knots[k], slopes[k + 1] - slopes[k])
+            for k in range(first, len(knots))
+        ]
+    return _convex_pwl(lo, height, slope, kinks)
+
+
+def _width_for(profile, chip_h: float) -> float:
+    """Least inner width at which the column's stack fits in ``chip_h``."""
+    xs, heights, slopes = profile
+    k = 0
+    while heights[k] > chip_h:
+        k += 1
+    if k == 0 or heights[k] == chip_h:
+        return xs[k]
+    return xs[k] + (chip_h - heights[k]) / slopes[k - 1]
+
+
 def _solve_lp(
     columns: list[list[Block]],
     channel: float,
     max_aspect: float | None,
-) -> tuple[np.ndarray, list[Block]]:
-    """Solve the sizing LP; returns (solution vector, flat block list)."""
-    n_cols = len(columns)
-    blocks: list[Block] = [b for col in columns for b in col]
-    n_blocks = len(blocks)
-    # Variable layout: [X_0..X_{C-1}] then per block (y, w, h), then H.
-    def xvar(c):
-        return c
+) -> tuple[list[float], float]:
+    """Solve the sizing LP exactly; returns (column inner widths, H).
 
-    def yvar(i):
-        return n_cols + 3 * i
+    Sweeps ``D(H)`` up the merged kinks of the columns from the least
+    ``H`` any column allows, then evaluates ``max(D(H), H / a) + H`` at
+    every kink between the two aspect-line crossings and at both.
+    """
+    aspect = math.inf if max_aspect is None else max_aspect
+    if not aspect >= 1.0:
+        raise FloorplanError(f"no floorplan meets max_aspect={max_aspect}")
+    profiles = [_stack_profile(col, channel) for col in columns]
+    chip_h = max(heights[-1] for _xs, heights, _s in profiles)
+    width = len(columns) * channel
+    slope = 0.0
+    kinks: list[tuple[float, float]] = []  # (H, change of dD/dH)
+    for profile in profiles:
+        _xs, heights, slopes = profile
+        width += _width_for(profile, chip_h)
+        # dx/dH is 1 / slope below the column's top kink, 0 above it.
+        inverse = [0.0] + [1.0 / s for s in slopes[:-1]]
+        slope += inverse[-1]
+        kinks += [(h, inverse[j] - inverse[j + 1]) for j, h in enumerate(heights[:-1])]
+    hs, ds, ms = _convex_pwl(chip_h, width, slope, kinks)
 
-    def wvar(i):
-        return n_cols + 3 * i + 1
+    def crossing(ratio: float) -> float:
+        """Least H with D(H) <= ratio * H."""
+        i = 0
+        while i < len(hs) and ds[i] > ratio * hs[i]:
+            i += 1
+        if i == 0:
+            return hs[0]
+        return (ds[i - 1] - ms[i - 1] * hs[i - 1]) / (ratio - ms[i - 1])
 
-    def hvar(i):
-        return n_cols + 3 * i + 2
-
-    hv = n_cols + 3 * n_blocks
-    n_vars = hv + 1
-
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
-
-    def add(coeffs: dict[int, float], rhs: float) -> None:
-        row = np.zeros(n_vars)
-        for idx, val in coeffs.items():
-            row[idx] += val
-        rows_a.append(row)
-        rows_b.append(rhs)
-
-    flat_index = 0
-    for c, col in enumerate(columns):
-        prev_y = None
-        for block in col:
-            i = flat_index
-            flat_index += 1
-            # Width fits the column (with channel margin).
-            coeffs = {wvar(i): 1.0, xvar(c): -1.0}
-            if c > 0:
-                coeffs[xvar(c - 1)] = 1.0
-            add(coeffs, -channel)
-            # Stacking below the previous block of the column.
-            if prev_y is not None:
-                j = prev_y
-                add({yvar(j): 1.0, hvar(j): 1.0, yvar(i): -1.0}, -channel)
-            prev_y = i
-            # Below the chip top.
-            add({yvar(i): 1.0, hvar(i): 1.0, hv: -1.0}, 0.0)
-            # Soft-block area tangents: h >= 2A/w0 - (A/w0^2) w.
-            if block.is_soft:
-                w_lo, w_hi = block.width_min, block.width_max
-                for t in range(TANGENT_CUTS):
-                    frac = t / max(1, TANGENT_CUTS - 1)
-                    w0 = w_lo * (w_hi / w_lo) ** frac
-                    area = block.area_mm2
-                    add(
-                        {hvar(i): -1.0, wvar(i): -area / w0**2},
-                        -2.0 * area / w0,
-                    )
-    # Chip aspect-ratio constraints.
-    if max_aspect is not None:
-        add({hv: 1.0, xvar(n_cols - 1): -max_aspect}, 0.0)
-        add({xvar(n_cols - 1): 1.0, hv: -max_aspect}, 0.0)
-
-    bounds: list[tuple] = []
-    for c in range(n_cols):
-        bounds.append((0.0, None))
-    for block in blocks:
-        bounds.append((0.0, None))  # y
-        bounds.append((block.width_min, block.width_max))  # w
-        if block.is_soft:
-            h_lo = math.sqrt(block.area_mm2 / block.aspect_max)
-            h_hi = math.sqrt(block.area_mm2 / block.aspect_min)
-        else:
-            h_lo = h_hi = math.sqrt(block.area_mm2)
-        bounds.append((h_lo, h_hi))  # h
-    bounds.append((0.0, None))  # H
-
-    cost = np.zeros(n_vars)
-    cost[xvar(n_cols - 1)] = 1.0  # W
-    cost[hv] = 1.0  # H
-
-    res = linprog(
-        cost,
-        A_ub=np.vstack(rows_a),
-        b_ub=np.array(rows_b),
-        bounds=bounds,
-        method="highs",
+    low = crossing(aspect)
+    high = crossing(1.0 / aspect) if aspect < math.inf else math.inf
+    # (H, W) at every vertex of max(D(H), H / a) on [low, high].
+    vertices = [(low, ds[0] if low == hs[0] else aspect * low)]
+    vertices += [(h, d) for h, d in zip(hs, ds) if low < h < high]
+    if low < high < math.inf:
+        vertices.append((high, high / aspect))
+    costs = [max(w, h / aspect) + h for h, w in vertices]
+    best = min(costs)
+    chip_h = max(
+        h for (h, _w), cost in zip(vertices, costs)
+        if cost <= best * (1.0 + _TIE_RTOL)
     )
-    if not res.success:
-        raise FloorplanError(f"floorplan LP failed: {res.message}")
-    return res.x, blocks
+    return [_width_for(profile, chip_h) for profile in profiles], chip_h
 
 
 def _legalize(
     columns: list[list[Block]],
-    solution: np.ndarray,
-    blocks: list[Block],
+    inner_widths: list[float],
     channel: float,
     max_aspect: float | None = None,
 ) -> FloorplanResult:
@@ -242,52 +256,29 @@ def _legalize(
     is padded with whitespace — the aspect bound thus converts into an
     area cost that the area constraint judges downstream.
     """
-    n_cols = len(columns)
-    widths = []
-    flat = 0
-    sizes: list[tuple[float, float]] = []
-    for col in columns:
-        col_w = 0.0
-        for block in col:
-            w = float(solution[n_cols + 3 * flat + 1])
-            if block.is_soft:
-                h = max(
-                    float(solution[n_cols + 3 * flat + 2]),
-                    block.area_mm2 / w,
-                )
-            else:
-                h = math.sqrt(block.area_mm2)
-                w = h
-            sizes.append((w, h))
-            col_w = max(col_w, w)
-            flat += 1
-        widths.append(col_w + channel)
-
     rects: dict[tuple, BlockRect] = {}
     col_keys: list[list[tuple]] = []
     x0 = 0.0
-    flat = 0
     height = 0.0
-    for c, col in enumerate(columns):
+    for col, inner in zip(columns, inner_widths):
         keys = []
         y = channel / 2.0
-        inner = widths[c] - channel
         for block in col:
-            w, h = sizes[flat]
             if block.is_soft:
                 # Widen to fill the column (within aspect bounds); the
                 # freed height tightens the chip without re-solving.
                 w = min(block.width_max, inner)
                 h = max(block.area_mm2 / w,
                         math.sqrt(block.area_mm2 / block.aspect_max))
+            else:
+                w = h = math.sqrt(block.area_mm2)
             x = x0 + channel / 2.0 + (inner - w) / 2.0
             rects[block.key] = BlockRect(block=block, x=x, y=y, w=w, h=h)
             keys.append(block.key)
             y += h + channel
-            flat += 1
         height = max(height, y - channel / 2.0)
         col_keys.append(keys)
-        x0 += widths[c]
+        x0 += inner + channel
     if max_aspect is not None and x0 > 0 and height > 0:
         if height > max_aspect * x0:
             x0 = height / max_aspect
@@ -317,8 +308,8 @@ def floorplan_mapping(
         max_aspect: chip aspect-ratio bound fed to the LP (None = free).
 
     Raises:
-        FloorplanError: if the LP is infeasible (e.g. impossible aspect
-            bound) — the mapping is then area-infeasible.
+        FloorplanError: if the LP is infeasible (``max_aspect`` below 1)
+            — the mapping is then area-infeasible.
     """
     columns = derive_columns(
         topology,
@@ -330,7 +321,7 @@ def floorplan_mapping(
     columns = [col for col in columns if col]
     if not columns:
         raise FloorplanError("nothing to floorplan")
-    solution, blocks = _solve_lp(columns, channel_mm, max_aspect)
-    result = _legalize(columns, solution, blocks, channel_mm, max_aspect)
+    inner_widths, _height = _solve_lp(columns, channel_mm, max_aspect)
+    result = _legalize(columns, inner_widths, channel_mm, max_aspect)
     result.validate()
     return result

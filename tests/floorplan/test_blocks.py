@@ -1,5 +1,7 @@
 """Floorplan block model."""
 
+import math
+
 import pytest
 
 from repro.errors import FloorplanError
@@ -25,6 +27,12 @@ class TestBlock:
         with pytest.raises(FloorplanError):
             Block(key=("core", 0), name="a", area_mm2=1.0,
                   aspect_min=2.0, aspect_max=1.0)
+
+    @pytest.mark.parametrize("field", ["area_mm2", "aspect_min", "aspect_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(FloorplanError, match=field):
+            Block(key=("core", 0), name="a", **{"area_mm2": 1.0, field: value})
 
 
 class TestBlockRect:

@@ -82,6 +82,37 @@ class TestMapAndSelect:
         assert "best:" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_select_runs_without_scipy(self):
+        """scipy is a test-only dependency: a floorplanning selection
+        runs, and prints the same, with every scipy import blocked."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["select", "--app", "vopd", "--objective", "power"]
+        blocked = (
+            "import runpy, sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.argv = ['repro.cli'] + {argv!r}\n"
+            "runpy.run_module('repro.cli', run_name='__main__')\n"
+        )
+        outputs = [
+            subprocess.run(
+                cmd, capture_output=True, text=True, timeout=300, env=env,
+                check=True,
+            ).stdout
+            for cmd in (
+                [sys.executable, "-c", blocked],
+                [sys.executable, "-m", "repro.cli", *argv],
+            )
+        ]
+        assert "best:" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_bad_app_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["select", "--app", "doom"])

@@ -1,5 +1,7 @@
 """Unit tests for the core graph model (paper Definition 1)."""
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -41,6 +43,14 @@ class TestConstruction:
             g.add_core("a", aspect_min=0.0)
         with pytest.raises(CoreGraphError):
             g.add_core("b", aspect_min=2.0, aspect_max=1.0)
+
+    @pytest.mark.parametrize("field", ["area_mm2", "aspect_min", "aspect_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_geometry_rejected(self, field, value):
+        g = CoreGraph("x")
+        with pytest.raises(CoreGraphError, match=field):
+            g.add_core("a", **{field: value})
+        assert g.num_cores == 0
 
     def test_self_flow_rejected(self):
         g = CoreGraph("x")
