@@ -1,9 +1,9 @@
 """Design service demo: one warm engine answering concurrent requests.
 
 Starts an in-process :class:`repro.service.DesignService` backed by a
-persistent directory cache, fires a burst of concurrent requests at it
-— including deliberate duplicates and one invalid request — and shows
-what the service layer buys you:
+persistent SQLite cache (``<cache-dir>/evals.db``), fires a burst of
+concurrent requests at it — including deliberate duplicates and one
+invalid request — and shows what the service layer buys you:
 
 * identical in-flight requests are computed **once** (the duplicates
   just await the first computation);
@@ -14,8 +14,9 @@ what the service layer buys you:
 
 Run:  PYTHONPATH=src python examples/service_demo.py [cache-dir]
 
-CI runs this script in the smoke job with the cache directory restored
-from the previous run's artifact, proving cross-run warm hits.
+CI runs this script twice in the smoke job, with the cache directory
+restored from the previous CI run, and requires the second run to be a
+warm start.
 """
 
 import asyncio
@@ -67,8 +68,9 @@ def describe(response: dict) -> str:
 
 async def main() -> None:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else ".sunmap-cache"
-    service = DesignService(cache_backend=f"dir:{cache_dir}")
-    print(f"design service with persistent cache at {cache_dir}/")
+    store = f"{cache_dir}/evals.db"
+    service = DesignService(cache_backend=f"sqlite:{store}")
+    print(f"design service with persistent cache at {store}")
 
     start = time.perf_counter()
     responses = await asyncio.gather(

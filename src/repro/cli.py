@@ -22,9 +22,9 @@ Commands mirror the tool's phases and the paper's experiments:
   concurrent JSON requests against one warm, optionally persistent,
   evaluation cache (``docs/SERVICE_API.md``).
 
-Engine-backed commands accept ``--cache SPEC`` (``sqlite:PATH`` /
-``dir:PATH``) to persist evaluations across runs — a warm store answers
-repeated work without recomputing, with bit-identical results. They
+Engine-backed commands accept ``--cache sqlite:PATH`` to persist
+evaluations across runs — a warm store answers repeated work without
+recomputing, with bit-identical results. They
 also accept ``--journal PATH`` to append every completed evaluation to
 a run journal as it finishes; after a crash or a kill, re-running the
 same command with ``--resume`` replays the journaled prefix and only
@@ -44,13 +44,12 @@ import argparse
 import sys
 
 from repro.apps import APPLICATIONS, load_application
-from repro.core.constraints import Constraints
+from repro.core.constraints import DEFAULT_LINK_CAPACITY_MB_S, Constraints
 from repro.core.exploration import (
     area_power_exploration,
     minimum_bandwidth_per_routing,
 )
 from repro.core.mapper import map_onto
-from repro.core.selector import select_topology
 from repro.engine.engine import ExplorationEngine
 from repro.engine.journal import open_journal
 from repro.errors import ReproError
@@ -61,7 +60,7 @@ from repro.simulation.traffic import (
     SyntheticTraffic,
     adversarial_pattern,
 )
-from repro.sunmap import run_sunmap
+from repro.sunmap import DEFAULT_ROUTING_FALLBACKS, run_sunmap
 from repro.topology.library import available_topologies, make_topology
 
 
@@ -83,8 +82,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="mapping objective",
     )
     parser.add_argument(
-        "--capacity", type=float, default=500.0,
-        help="link capacity in MB/s (paper default 500)",
+        "--capacity", type=float, default=DEFAULT_LINK_CAPACITY_MB_S,
+        help="link capacity in MB/s (default: the paper's %(default)s)",
     )
 
 
@@ -96,10 +95,9 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache", default=None, metavar="SPEC",
-        help="persistent evaluation-cache backend: 'sqlite:PATH' or "
-        "'dir:PATH' (default: in-memory). A warm store skips "
-        "evaluations from earlier runs; results are identical either "
-        "way",
+        help="persistent evaluation-cache backend: 'sqlite:PATH' "
+        "(default: in-memory). A warm store skips evaluations from "
+        "earlier runs; results are identical either way",
     )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -249,36 +247,23 @@ def cmd_select(args) -> int:
 
         topologies = standard_library(app.num_cores)
         topologies.append(load_topology(args.topology_file))
-    synthesize = args.synthesize or None
-    if synthesize and args.fault_tolerance:
+    synthesize = None
+    if args.synthesize:
         from repro.synthesis import SynthesisConfig
 
         synthesize = SynthesisConfig(fault_tolerance=args.fault_tolerance)
     journal = _journal(args)
     try:
-        if args.fallback:
-            report = run_sunmap(
-                app,
-                routing=args.routing,
-                objective=args.objective,
-                constraints=_constraints(args),
-                topologies=topologies,
-                generate=False,
-                jobs=args.jobs,
-                synthesize=synthesize,
-                cache_backend=args.cache,
-                journal=journal,
-            )
-            print(report.summary())
-            if args.save_topology:
-                _save_best_synthesized(report.selection, args.save_topology)
-            return 0
-        selection = select_topology(
+        report = run_sunmap(
             app,
-            topologies=topologies,
             routing=args.routing,
             objective=args.objective,
             constraints=_constraints(args),
+            topologies=topologies,
+            generate=False,
+            routing_fallbacks=(
+                DEFAULT_ROUTING_FALLBACKS if args.fallback else ()
+            ),
             jobs=args.jobs,
             synthesize=synthesize,
             cache_backend=args.cache,
@@ -286,13 +271,17 @@ def cmd_select(args) -> int:
         )
     finally:
         _close_journal(journal)
-    if args.markdown:
-        from repro.report import selection_to_markdown
-
-        print(selection_to_markdown(selection))
+    selection = report.selection
+    if args.fallback and not args.markdown:
+        print(report.summary())
     else:
-        print(selection.format_table())
-    print(f"best: {selection.best_name or 'NO FEASIBLE TOPOLOGY'}")
+        if args.markdown:
+            from repro.report import selection_to_markdown
+
+            print(selection_to_markdown(selection))
+        else:
+            print(selection.format_table())
+        print(f"best: {selection.best_name or 'NO FEASIBLE TOPOLOGY'}")
     if args.save:
         from repro.io import save_selection
 
@@ -418,12 +407,6 @@ def cmd_simulate(args) -> int:
 def _cmd_simulate(args) -> int:
     from repro.simulation.campaign import CampaignConfig, run_campaign
 
-    # One measurement protocol for both front doors: unset cycle flags
-    # take CampaignConfig's defaults, exactly as service campaigns do.
-    protocol = CampaignConfig()
-    warmup = protocol.warmup if args.warmup is None else args.warmup
-    measure = protocol.measure if args.cycles is None else args.cycles
-    drain = protocol.drain if args.drain is None else args.drain
     app = load_application(args.app)
     topology = make_topology(args.topology, app.num_cores)
     if args.rates is None:
@@ -445,9 +428,9 @@ def _cmd_simulate(args) -> int:
         report = run_measurement(
             topology,
             SyntheticTraffic(pattern, args.rate),
-            warmup=warmup,
-            measure=measure,
-            drain=drain,
+            warmup=args.warmup,
+            measure=args.cycles,
+            drain=args.drain,
             active_slots=slots,
             offered_rate=args.rate,
         )
@@ -477,9 +460,9 @@ def _cmd_simulate(args) -> int:
         rates=_csv(args.rates, float),
         patterns=patterns,
         seeds=_csv(args.seeds, int),
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
+        warmup=args.warmup,
+        measure=args.cycles,
+        drain=args.drain,
         faults=args.faults,
         fault_seeds=_csv(args.fault_seeds, int),
         sim_engine=args.sim_engine,
@@ -618,7 +601,17 @@ def cmd_submit(args) -> int:
     return 1 if failures else 0
 
 
+def _csv_default(values) -> str:
+    """A library default tuple rendered as a comma-separated flag value."""
+    return ",".join(str(value) for value in values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # Sweep defaults come from the library configs' declared field
+    # defaults (read off the classes), so the CLI cannot drift from them.
+    from repro.simulation.campaign import CampaignConfig
+    from repro.synthesis import SynthesisConfig
+
     parser = argparse.ArgumentParser(
         prog="sunmap",
         description="SUNMAP reproduction: NoC topology selection & generation",
@@ -687,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the best feasible synthesized fabric as JSON",
     )
     p.add_argument(
-        "--fault-tolerance", type=int, default=0, metavar="K",
+        "--fault-tolerance", type=int,
+        default=SynthesisConfig.fault_tolerance, metavar="K",
         help="with --synthesize: candidate fabrics stay connected "
         "under any K dead inter-switch links (k-connectivity)",
     )
@@ -700,20 +694,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_jobs(p)
     p.add_argument(
-        "--strategies", default="greedy,bisect,bounded",
+        "--strategies", default=_csv_default(SynthesisConfig.strategies),
         metavar="S1,S2,...",
         help="partition strategies to sweep",
     )
     p.add_argument(
-        "--concentrations", default="2,3,4", metavar="C1,C2,...",
+        "--concentrations",
+        default=_csv_default(SynthesisConfig.concentrations),
+        metavar="C1,C2,...",
         help="cores-per-switch bounds to sweep",
     )
     p.add_argument(
-        "--degrees", default="4,6,8", metavar="D1,D2,...",
+        "--degrees",
+        default=_csv_default(SynthesisConfig.max_switch_degrees),
+        metavar="D1,D2,...",
         help="max network channels per switch to sweep",
     )
     p.add_argument(
-        "--max-candidates", type=int, default=12,
+        "--max-candidates", type=int,
+        default=SynthesisConfig.max_candidates,
         help="cap on candidates evaluated after pruning",
     )
     p.add_argument(
@@ -722,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
         "map/select/generate --topology-file)",
     )
     p.add_argument(
-        "--fault-tolerance", type=int, default=0, metavar="K",
+        "--fault-tolerance", type=int,
+        default=SynthesisConfig.fault_tolerance, metavar="K",
         help="candidate fabrics stay connected under any K dead "
         "inter-switch links (k-connectivity objective)",
     )
@@ -745,16 +745,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PATTERNS) + ["adversarial"],
     )
     p.add_argument(
-        "--cycles", type=int, default=None,
-        help="measured cycles per point (default: CampaignConfig's)",
+        "--cycles", type=int, default=CampaignConfig.measure,
+        help="measured cycles per point (default: %(default)s)",
     )
     p.add_argument(
-        "--warmup", type=int, default=None,
-        help="warm-up cycles per point (default: CampaignConfig's)",
+        "--warmup", type=int, default=CampaignConfig.warmup,
+        help="warm-up cycles per point (default: %(default)s)",
     )
     p.add_argument(
-        "--drain", type=int, default=None,
-        help="drain cycles per point (default: CampaignConfig's)",
+        "--drain", type=int, default=CampaignConfig.drain,
+        help="drain cycles per point (default: %(default)s)",
     )
     p.add_argument(
         "--rates", default=None, metavar="R1,R2,...",
@@ -762,23 +762,25 @@ def build_parser() -> argparse.ArgumentParser:
         "(flits/cycle/node) instead of the single --rate point",
     )
     p.add_argument(
-        "--patterns", default="app,uniform,hotspot,transpose",
+        "--patterns", default=_csv_default(CampaignConfig.patterns),
         metavar="P1,P2,...",
         help="campaign traffic patterns ('app' = application trace, "
         "'adversarial' = the topology's stress permutation)",
     )
     p.add_argument(
-        "--seeds", default="1", metavar="S1,S2,...",
+        "--seeds", default=_csv_default(CampaignConfig.seeds),
+        metavar="S1,S2,...",
         help="campaign traffic seeds; curves average across them",
     )
     p.add_argument(
-        "--faults", type=int, default=0, metavar="K",
+        "--faults", type=int, default=CampaignConfig.faults, metavar="K",
         help="dead random inter-switch links per fault variant "
         "(0 = pristine fabric); single-point mode degrades with the "
         "first fault seed, campaign mode sweeps every fault seed",
     )
     p.add_argument(
-        "--fault-seeds", default="1", metavar="S1,S2,...",
+        "--fault-seeds", default=_csv_default(CampaignConfig.fault_seeds),
+        metavar="S1,S2,...",
         help="fault-sampling seeds: one deterministic non-partitioning "
         "fault set per seed; campaign curves average across them",
     )

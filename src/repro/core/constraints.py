@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import MappingInfeasibleError
 from repro.floorplan.lp import FloorplanResult
 from repro.routing.base import RoutingResult
 from repro.topology.base import Topology
@@ -46,6 +47,13 @@ class Constraints:
     max_area_mm2: float | None = None
     max_chip_aspect: float = 3.0
     max_flow_hops: int | None = None
+
+    def __post_init__(self):
+        # "not > 0" also rejects NaN; infinity is legal (see relaxed()).
+        if not self.link_capacity_mb_s > 0:
+            raise MappingInfeasibleError(
+                f"link capacity must be positive, got {self.link_capacity_mb_s}"
+            )
 
     def relaxed(self) -> "Constraints":
         """Copy with bandwidth constraints lifted (Section 6.2 uses this

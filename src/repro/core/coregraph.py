@@ -148,8 +148,8 @@ class CoreGraph:
         di = self.core_index(dst)
         if si == di:
             raise CoreGraphError("self-flows are not allowed in a core graph")
-        if bandwidth <= 0:
-            raise CoreGraphError("flow bandwidth must be positive")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise CoreGraphError("flow bandwidth must be positive and finite")
         self._flows[(si, di)] = self._flows.get((si, di), 0.0) + bandwidth
         self._commodities_cache = None
 

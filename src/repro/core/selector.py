@@ -141,8 +141,8 @@ def select_topology(
         engine: explicit engine (overrides ``jobs``); pass the same
             engine across calls to reuse its evaluation cache.
         cache_backend: persistent cache storage spec (e.g.
-            ``"sqlite:evals.db"``, ``"dir:.cache"``) for the engine
-            built when ``engine`` is not given.
+            ``"sqlite:evals.db"``) for the engine built when ``engine``
+            is not given.
         journal: optional :class:`~repro.engine.journal.RunJournal`;
             completed evaluations are appended and (on a resume
             journal) replayed bit-identically, so an interrupted

@@ -8,10 +8,9 @@ Public surface:
   the two design-space job kinds (mapping search, campaign measurement)
   and their shared outcome record;
 * :class:`EvaluationCache` — shared content-keyed result cache;
-* :class:`MemoryBackend` / :class:`SQLiteBackend` /
-  :class:`DirectoryBackend` — pluggable cache storage
-  (:func:`make_backend` builds one from a spec string); the persistent
-  backends carry warm results across processes and CI runs;
+* :class:`MemoryBackend` / :class:`SQLiteBackend` — pluggable cache
+  storage (:func:`make_backend` builds one from a spec string); the
+  persistent backend carries warm results across processes and CI runs;
 * :func:`make_executor`, :class:`SerialExecutor`,
   :class:`ProcessExecutor` — the executor plugins;
 * :class:`RetryPolicy` / :class:`JobFailure` / :func:`classify_failure`
@@ -22,7 +21,6 @@ Public surface:
 
 from repro.engine.backends import (
     CacheBackend,
-    DirectoryBackend,
     MemoryBackend,
     SQLiteBackend,
     key_fingerprint,
@@ -55,7 +53,6 @@ __all__ = [
     "CacheBackend",
     "CacheStats",
     "DEFAULT_RETRY_POLICY",
-    "DirectoryBackend",
     "EvaluationCache",
     "EvaluationJob",
     "ExplorationEngine",

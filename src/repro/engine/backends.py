@@ -11,12 +11,10 @@ the store behind the cache to a :class:`CacheBackend` plugin:
 * :class:`SQLiteBackend` — one WAL-mode SQLite file holding pickled
   results keyed by content fingerprint; safe for concurrent writers
   from several processes, so repeated selection/synthesis/campaign
-  requests across processes hit warm results;
-* :class:`DirectoryBackend` — one file per fingerprint under a
-  schema-versioned directory; trivially rsync/CI-cacheable, which is
-  how the CI docs job proves cross-run warm hits.
+  requests across processes hit warm results (CI caches the file
+  between runs to prove cross-run warm hits).
 
-Durability contract shared by the persistent backends: a corrupted,
+Durability contract of the persistent backend: a corrupted,
 truncated or unreadable entry is **logged, dropped and recomputed** —
 never served and never allowed to crash the caller — and a schema
 version mismatch discards the store (cold start) instead of guessing at
@@ -36,6 +34,7 @@ from pathlib import Path
 from threading import RLock
 from typing import Protocol, runtime_checkable
 
+from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 
 log = logging.getLogger(__name__)
@@ -357,96 +356,6 @@ class SQLiteBackend:
                 self._conn = None
 
 
-class DirectoryBackend:
-    """Persistent store as one file per fingerprint under a directory.
-
-    Entries live at ``<root>/v<SCHEMA_VERSION>/<fp[:2]>/<fp>.pkl``; the
-    schema version is part of the path, so opening a store written under
-    another version simply sees an empty directory — a cold start with
-    zero migration logic. Writes go through a temporary file and
-    ``os.replace``, so concurrent writers from any number of processes
-    either publish a complete entry or nothing.
-
-    The layout is deliberately artifact-friendly: CI caches the root
-    directory between runs to prove cross-run warm hits, and a store can
-    be merged or pruned with plain file tools.
-    """
-
-    name = "directory"
-
-    def __init__(self, root: str | Path):
-        """Open (or create) the store rooted at ``root``."""
-        self.root = Path(root)
-        self.dir = self.root / f"v{SCHEMA_VERSION}"
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.corrupt_entries = 0
-        self.write_errors = 0
-
-    def _path(self, fp: str) -> Path:
-        """Entry path for a fingerprint (2-hex-char fan-out subdirs)."""
-        return self.dir / fp[:2] / f"{fp}.pkl"
-
-    def get(self, key: tuple) -> object | None:
-        """Return the stored value, or ``None`` (miss / unreadable entry)."""
-        path = self._path(key_fingerprint(key))
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            log.warning("cache read failed on %s (%s)", path, exc)
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception as exc:
-            self.corrupt_entries += 1
-            log.warning(
-                "dropping corrupt cache entry %s (%s); the result will "
-                "be recomputed",
-                path, exc,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def put(self, key: tuple, value: object) -> int:
-        """Persist ``value`` atomically; a failed write is dropped."""
-        path = self._path(key_fingerprint(key))
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.write_errors += 1
-            _log_write_error(
-                self.name,
-                self.write_errors,
-                "cache write failed on %s (%s); entry dropped", path, exc,
-            )
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        return 0
-
-    def __len__(self) -> int:
-        """Number of entries currently stored."""
-        return sum(1 for _ in self.dir.glob("??/*.pkl"))
-
-    def clear(self) -> None:
-        """Drop every entry of the current schema version."""
-        for entry in self.dir.glob("??/*.pkl"):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-
-
 def make_backend(spec) -> CacheBackend:
     """Build a backend from a CLI/config spec string (or pass one through).
 
@@ -455,14 +364,14 @@ def make_backend(spec) -> CacheBackend:
     * an existing :class:`CacheBackend` instance — returned as is;
     * ``None`` or ``"memory"`` — a fresh unbounded :class:`MemoryBackend`;
     * ``"sqlite:PATH"`` — :class:`SQLiteBackend` at PATH;
-    * ``"dir:PATH"`` (or ``"directory:PATH"``) — :class:`DirectoryBackend`;
-    * a bare path — SQLite when it ends in ``.db``/``.sqlite``/
-      ``.sqlite3``, a directory store otherwise.
+    * a bare path ending in ``.db``/``.sqlite``/``.sqlite3`` — the same.
+
+    Raises:
+        ReproError: for any other string (nothing is created on disk).
+        TypeError: for an object that is neither a path nor a backend.
     """
     if spec is None or spec == "memory":
         return MemoryBackend()
-    if isinstance(spec, (MemoryBackend, SQLiteBackend, DirectoryBackend)):
-        return spec
     if not isinstance(spec, (str, Path)):
         if isinstance(spec, CacheBackend):
             return spec
@@ -470,10 +379,9 @@ def make_backend(spec) -> CacheBackend:
     text = str(spec)
     if text.startswith("sqlite:"):
         return SQLiteBackend(text[len("sqlite:"):])
-    if text.startswith("dir:"):
-        return DirectoryBackend(text[len("dir:"):])
-    if text.startswith("directory:"):
-        return DirectoryBackend(text[len("directory:"):])
     if text.endswith((".db", ".sqlite", ".sqlite3")):
         return SQLiteBackend(text)
-    return DirectoryBackend(text)
+    raise ReproError(
+        f"unknown cache spec {text!r}; use 'memory', 'sqlite:PATH' or a "
+        "path ending in .db/.sqlite/.sqlite3"
+    )

@@ -9,8 +9,8 @@ means "bit-identical work", never "same object".
 
 Storage is pluggable (:mod:`repro.engine.backends`): the default is the
 original in-process dict (:class:`~repro.engine.backends.MemoryBackend`,
-now with LRU eviction), while the SQLite and directory backends persist
-results across processes and CI runs — the substrate of the design
+now with LRU eviction), while the SQLite backend persists results
+across processes and CI runs — the substrate of the design
 service's warm starts (:mod:`repro.service`).
 """
 
@@ -98,7 +98,7 @@ class EvaluationCache:
     bounded to ``max_entries`` is created (``None`` disables the bound,
     ``0`` disables caching entirely); least-recently-used entries are
     evicted beyond the bound and counted in :attr:`CacheStats.evictions`.
-    An explicit backend (e.g. a persistent SQLite or directory store)
+    An explicit backend (e.g. a persistent SQLite store)
     manages its own capacity — ``max_entries`` then only retains its
     ``0``-disables-caching meaning.
 

@@ -68,9 +68,9 @@ class ExplorationEngine:
         cache_backend: storage behind the private cache when ``cache`` is
             not given — a :class:`~repro.engine.backends.CacheBackend`
             instance or a :func:`~repro.engine.backends.make_backend`
-            spec string (``"sqlite:results.db"``, ``"dir:.cache"``).
-            Persistent backends make warm results survive the process:
-            a second run of the same sweep performs zero evaluations.
+            spec string (``"sqlite:results.db"``). A persistent
+            backend makes warm results survive the process: a second
+            run of the same sweep performs zero evaluations.
         journal: optional :class:`~repro.engine.journal.RunJournal`.
             Completed results are appended to it and replayed (by
             fingerprint, bit-identically) on later runs — a killed

@@ -22,7 +22,8 @@ Core-graph schema::
       ]
     }
 
-Custom-topology schema (parallel channels carried as ``mult``)::
+Custom-topology schema (parallel channels carried as ``mult``, from 1
+to :data:`~repro.topology.custom.MAX_LINK_MULT`)::
 
     {
       "name": "syn-greedy-s3c4d4",
@@ -39,7 +40,7 @@ import json
 from repro.core.coregraph import CoreGraph
 from repro.core.selector import SelectionResult
 from repro.errors import CoreGraphError, ReproError, TopologyError
-from repro.topology.custom import CustomTopology
+from repro.topology.custom import MAX_LINK_MULT, CustomTopology
 
 
 def reject_non_finite(token: str):
@@ -86,23 +87,53 @@ def core_graph_to_dict(graph: CoreGraph) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean", float: "number"}
+
+#: Optional per-core fields and their JSON types; an absent field takes
+#: :meth:`~repro.core.coregraph.CoreGraph.add_core`'s default.
+_CORE_FIELDS = {
+    "area_mm2": float, "is_soft": bool, "aspect_min": float,
+    "aspect_max": float, "power_mw": float,
+}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind`` (``float`` = any number)."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or (kind is not bool and isinstance(value, bool)):
+        raise TypeError(
+            f"{what} must be a {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+        )
+    return value
+
+
 def core_graph_from_dict(payload: dict) -> CoreGraph:
-    """Rebuild an application from its dict form (validates)."""
+    """Rebuild an application from its dict form (validates).
+
+    Any malformed document — a missing field, a value of the wrong JSON
+    type, an invalid graph — raises :class:`CoreGraphError`.
+    """
     try:
-        graph = CoreGraph(payload["name"])
+        graph = CoreGraph(_typed(payload["name"], str, "name"))
         for core in payload["cores"]:
             graph.add_core(
-                core["name"],
-                area_mm2=core.get("area_mm2", 2.0),
-                is_soft=core.get("is_soft", True),
-                aspect_min=core.get("aspect_min", 1.0 / 3.0),
-                aspect_max=core.get("aspect_max", 3.0),
-                power_mw=core.get("power_mw", 0.0),
+                _typed(core["name"], str, "core name"),
+                **{
+                    field: _typed(core[field], kind, field)
+                    for field, kind in _CORE_FIELDS.items()
+                    if field in core
+                },
             )
         for flow in payload["flows"]:
-            graph.add_flow(flow["src"], flow["dst"], flow["bandwidth_mb_s"])
+            graph.add_flow(
+                _typed(flow["src"], str, "flow src"),
+                _typed(flow["dst"], str, "flow dst"),
+                _typed(flow["bandwidth_mb_s"], float, "bandwidth_mb_s"),
+            )
     except KeyError as exc:
         raise CoreGraphError(f"missing field in core-graph JSON: {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise CoreGraphError(f"malformed core-graph JSON: {exc}") from None
     graph.validate()
     return graph
 
@@ -143,13 +174,19 @@ def custom_topology_from_dict(payload: dict) -> CustomTopology:
         links: list[tuple[int, int]] = []
         for link in payload["links"]:
             pair = (int(link["a"]), int(link["b"]))
-            links.extend([pair] * int(link.get("mult", 1)))
+            mult = int(link.get("mult", 1))
+            if not 1 <= mult <= MAX_LINK_MULT:
+                raise TopologyError(
+                    f"link {pair} mult must be in [1, {MAX_LINK_MULT}], "
+                    f"got {mult}"
+                )
+            links.extend([pair] * mult)
         positions = {
             int(sid): (float(xy[0]), float(xy[1]))
             for sid, xy in (payload.get("positions") or {}).items()
         }
         return CustomTopology(
-            name=payload["name"],
+            name=_typed(payload["name"], str, "name"),
             slot_switch=[int(s) for s in payload["slot_switch"]],
             links=links,
             positions=positions or None,
@@ -158,7 +195,8 @@ def custom_topology_from_dict(payload: dict) -> CustomTopology:
         raise TopologyError(
             f"missing field in topology JSON: {exc}"
         ) from None
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, IndexError, AttributeError,
+            OverflowError) as exc:
         raise TopologyError(f"malformed topology JSON: {exc}") from None
 
 

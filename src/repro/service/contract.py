@@ -30,7 +30,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.core.constraints import DEFAULT_LINK_CAPACITY_MB_S
 from repro.errors import ContractError, RetryableError, ServiceBusyError
+from repro.simulation.campaign import CampaignConfig
+from repro.synthesis.generate import SynthesisConfig
+from repro.topology.custom import MAX_LINK_MULT
 
 #: Contract version carried in every envelope; a request with another
 #: version is rejected (the server cannot guess what its fields mean).
@@ -57,7 +61,11 @@ _OBJECTIVES = ("hops", "area", "power", "bandwidth")
 #: (and ``fault_tolerance``), items per sweep axis (``rates``,
 #: ``patterns``, ``seeds``, ``fault_seeds``, and synthesis's
 #: ``strategies``, ``concentrations``, ``max_switch_degrees``), and
-#: synthesized candidates evaluated per request.
+#: synthesized candidates evaluated per request. A switch degree is
+#: bounded by :data:`~repro.topology.custom.MAX_LINK_MULT`, the
+#: topology loader's channel bound: a synthesized fat link never has
+#: more channels than its switch degree, so every fabric the service
+#: returns reloads.
 MAX_CYCLES = 1_000_000
 MAX_CORES = 1024
 MAX_FAULTS = 64
@@ -126,7 +134,9 @@ PARAM_SCHEMAS = {
             },
             "max_switch_degrees": {
                 "type": "array", "minItems": 1, "maxItems": MAX_SWEEP_ITEMS,
-                "items": {"type": "integer", "minimum": 1},
+                "items": {
+                    "type": "integer", "minimum": 1, "maximum": MAX_LINK_MULT,
+                },
             },
             "max_candidates": {
                 "type": "integer", "minimum": 1, "maximum": MAX_CANDIDATES,
@@ -194,44 +204,55 @@ PARAM_SCHEMAS = {
     },
 }
 
+
+def _declared_defaults(config_class: type, names) -> dict:
+    """A library config's declared field defaults, as JSON values.
+
+    Read from the class, not an instance: ``CampaignConfig()``
+    normalizes ``fault_seeds`` to ``()`` when ``faults`` is 0, while the
+    contract's normalized ``[1]`` is part of every default campaign
+    request's fingerprint.
+    """
+    values = {name: getattr(config_class, name) for name in names}
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in values.items()
+    }
+
+
 #: Defaults applied by :func:`parse_request` (normalized into the
-#: request, so fingerprints are spelling-independent). Campaign sweep
-#: defaults intentionally mirror
-#: :class:`~repro.simulation.campaign.CampaignConfig`.
+#: request, so fingerprints are spelling-independent). The sweep
+#: defaults and the link capacity are the library's own, so the
+#: service, the CLI and Python callers cannot drift apart.
 PARAM_DEFAULTS = {
     "select": {
         "routing": "MP",
         "objective": "hops",
-        "link_capacity_mb_s": 500.0,
+        "link_capacity_mb_s": DEFAULT_LINK_CAPACITY_MB_S,
         "fallback": True,
         "synthesize": False,
-        "fault_tolerance": 0,
+        "fault_tolerance": SynthesisConfig.fault_tolerance,
     },
     "synthesize": {
         "routing": "MP",
         "objective": "hops",
-        "link_capacity_mb_s": 500.0,
-        "strategies": ["greedy", "bisect", "bounded"],
-        "concentrations": [2, 3, 4],
-        "max_switch_degrees": [4, 6, 8],
-        "max_candidates": 12,
-        "fault_tolerance": 0,
+        "link_capacity_mb_s": DEFAULT_LINK_CAPACITY_MB_S,
+        **_declared_defaults(
+            SynthesisConfig,
+            ("strategies", "concentrations", "max_switch_degrees",
+             "max_candidates", "fault_tolerance"),
+        ),
     },
-    "campaign": {
-        "rates": [0.05, 0.1, 0.2, 0.35, 0.5, 0.7],
-        "patterns": ["app", "uniform", "hotspot", "transpose"],
-        "seeds": [1],
-        "warmup": 500,
-        "measure": 2000,
-        "drain": 1500,
-        "faults": 0,
-        "fault_seeds": [1],
-        # deadline_s intentionally has no default: absence means "run
-        # the whole sweep", and a normalized default would change every
-        # existing campaign fingerprint. sim_engine likewise: absence
-        # means "exact", and normalizing it in would re-fingerprint
-        # every pre-batch campaign request.
-    },
+    # deadline_s intentionally has no default: absence means "run the
+    # whole sweep", and a normalized default would change every
+    # existing campaign fingerprint. sim_engine likewise: absence means
+    # "exact", and normalizing it in would re-fingerprint every
+    # pre-batch campaign request.
+    "campaign": _declared_defaults(
+        CampaignConfig,
+        ("rates", "patterns", "seeds", "warmup", "measure", "drain",
+         "faults", "fault_seeds"),
+    ),
     "health": {},
     "metrics": {},
 }

@@ -45,7 +45,6 @@ from repro.apps import APPLICATIONS, load_application
 from repro.core.constraints import Constraints
 from repro.core.coregraph import CoreGraph
 from repro.core.greedy import initial_greedy_mapping
-from repro.core.selector import select_topology
 from repro.engine.cache import EvaluationCache
 from repro.engine.engine import ExplorationEngine
 from repro.errors import ContractError, ReproError, ServiceBusyError
@@ -66,7 +65,7 @@ from repro.service.contract import (
 )
 from repro.service.jobqueue import BatchingEngine, InFlightTable
 from repro.simulation.campaign import CampaignConfig, run_campaign
-from repro.sunmap import run_sunmap
+from repro.sunmap import DEFAULT_ROUTING_FALLBACKS, run_sunmap
 from repro.synthesis.generate import SynthesisConfig, synthesize_topologies
 from repro.topology.library import make_topology
 
@@ -102,9 +101,9 @@ class DesignService:
         cache_backend: evaluation-cache storage — a
             :class:`~repro.engine.backends.CacheBackend` or a
             :func:`~repro.engine.backends.make_backend` spec string.
-            With a persistent backend (``"sqlite:..."``/``"dir:..."``)
-            the service starts warm: requests already answered by any
-            earlier process cost zero evaluations.
+            With a persistent backend (``"sqlite:PATH"``) the service
+            starts warm: requests already answered by any earlier
+            process cost zero evaluations.
         batch_window_s: straggler window of the job batcher (see
             :class:`~repro.service.jobqueue.BatchingEngine`).
         max_inflight: admission-control budget — the number of request
@@ -362,40 +361,26 @@ class DesignService:
     def _run_select(self, params: dict, engine: ExplorationEngine) -> dict:
         """``select``: the paper's phase-1/2 flow via :func:`run_sunmap`."""
         app = self._load_app(params)
-        constraints = Constraints(
-            link_capacity_mb_s=params["link_capacity_mb_s"]
+        synthesize = (
+            SynthesisConfig(fault_tolerance=params["fault_tolerance"])
+            if params["synthesize"] else None
         )
-        synthesize = params["synthesize"] or None
-        if synthesize and params["fault_tolerance"]:
-            synthesize = SynthesisConfig(
-                fault_tolerance=params["fault_tolerance"]
-            )
-        if params["fallback"]:
-            report = run_sunmap(
-                app,
-                routing=params["routing"],
-                objective=params["objective"],
-                constraints=constraints,
-                generate=False,
-                synthesize=synthesize,
-                engine=engine,
-            )
-            selection = report.selection
-            attempted = report.attempted_routings
-        else:
-            selection = select_topology(
-                app,
-                routing=params["routing"],
-                objective=params["objective"],
-                constraints=constraints,
-                synthesize=synthesize,
-                engine=engine,
-            )
-            attempted = [params["routing"]]
+        report = run_sunmap(
+            app,
+            routing=params["routing"],
+            objective=params["objective"],
+            constraints=Constraints(params["link_capacity_mb_s"]),
+            generate=False,
+            routing_fallbacks=(
+                DEFAULT_ROUTING_FALLBACKS if params["fallback"] else ()
+            ),
+            synthesize=synthesize,
+            engine=engine,
+        )
         return {
             "application": app.name,
-            "attempted_routings": attempted,
-            "selection": selection_to_dict(selection),
+            "attempted_routings": report.attempted_routings,
+            "selection": selection_to_dict(report.selection),
         }
 
     def _run_synthesize(
@@ -403,9 +388,6 @@ class DesignService:
     ) -> dict:
         """``synthesize``: custom-fabric generation + ranking."""
         app = self._load_app(params)
-        constraints = Constraints(
-            link_capacity_mb_s=params["link_capacity_mb_s"]
-        )
         config = SynthesisConfig(
             strategies=tuple(params["strategies"]),
             concentrations=tuple(params["concentrations"]),
@@ -418,7 +400,7 @@ class DesignService:
             config=config,
             routing=params["routing"],
             objective=params["objective"],
-            constraints=constraints,
+            constraints=Constraints(params["link_capacity_mb_s"]),
             engine=engine,
         )
         payload = result.to_dict()

@@ -45,7 +45,8 @@ from repro.synthesis.fabric import (
     fabric_from_partition,
     intended_assignment,
 )
-from repro.topology.custom import CustomTopology
+from repro.synthesis.partition import PARTITION_STRATEGIES
+from repro.topology.custom import MAX_LINK_MULT, CustomTopology
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,25 @@ class SynthesisConfig:
     prune: bool = True
     seed: int = 1
     fault_tolerance: int = 0
+
+    def __post_init__(self):
+        unknown = set(self.strategies) - PARTITION_STRATEGIES.keys()
+        if unknown or not self.strategies:
+            raise TopologyError(
+                f"synthesis strategies must be a non-empty choice from "
+                f"{sorted(PARTITION_STRATEGIES)}, got {list(self.strategies)}"
+            )
+        for name, values, low, high in (
+            ("concentrations", self.concentrations, 1, math.inf),
+            ("max_switch_degrees", self.max_switch_degrees, 1, MAX_LINK_MULT),
+            ("max_candidates", [self.max_candidates], 1, math.inf),
+            ("fault_tolerance", [self.fault_tolerance], 0, math.inf),
+        ):
+            if not values or not all(low <= v <= high for v in values):
+                raise TopologyError(
+                    f"synthesis {name} must lie in [{low}, {high}], "
+                    f"got {list(values)}"
+                )
 
 
 @dataclass

@@ -42,6 +42,12 @@ import networkx as nx
 from repro.errors import TopologyError
 from repro.topology.base import Topology, switch, term
 
+#: Most parallel channels one switch pair may carry in a topology file
+#: (``mult``), and the largest switch degree synthesis accepts — a
+#: synthesized fat link never has more channels than its switch degree,
+#: so every synthesized fabric reloads.
+MAX_LINK_MULT = 64
+
 
 class CustomTopology(Topology):
     """An explicit, possibly heterogeneous, switch fabric.

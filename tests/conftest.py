@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.apps import dsp_filter, mpeg4, network_processor, vopd
@@ -18,6 +20,24 @@ def pytest_addoption(parser):
         help="rewrite the golden selection-outcome files from the "
         "current implementation instead of asserting against them",
     )
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo a test's reconfiguration of the ``repro`` logger.
+
+    ``repro.cli.main`` calls ``configure_logging``, which sets the
+    logger's level, handler and ``propagate=False``; left in place, that
+    hides every later test's ``repro.*`` records from ``caplog``.
+    """
+    logger = logging.getLogger("repro")
+    level, handlers, propagate = (
+        logger.level, list(logger.handlers), logger.propagate,
+    )
+    yield
+    logger.setLevel(level)
+    logger.handlers = handlers
+    logger.propagate = propagate
+
 
 #: Topologies exercised by generic invariant tests, sized for 12 cores.
 GENERIC_TOPOLOGY_NAMES = (

@@ -11,7 +11,6 @@ The durability contract under test (see ``repro.engine.backends``):
 
 from __future__ import annotations
 
-import pickle
 import sqlite3
 import subprocess
 import sys
@@ -22,14 +21,14 @@ import pytest
 from repro.core.mapper import MapperConfig
 from repro.core.selector import select_topology
 from repro.engine import (
-    DirectoryBackend,
     EvaluationCache,
     ExplorationEngine,
     MemoryBackend,
     SQLiteBackend,
     make_backend,
 )
-from repro.engine.backends import SCHEMA_VERSION, key_fingerprint
+from repro.engine.backends import key_fingerprint
+from repro.errors import ReproError
 
 FAST = MapperConfig(converge=False, swap_rounds=1)
 
@@ -180,62 +179,6 @@ class TestSQLiteBackend:
         store.close()
 
 
-class TestDirectoryBackend:
-    def test_roundtrip_across_instances(self, tmp_path):
-        store = DirectoryBackend(tmp_path / "store")
-        store.put(KEY_A, {"cost": 3.5})
-        assert DirectoryBackend(tmp_path / "store").get(KEY_A) == {
-            "cost": 3.5
-        }
-
-    def test_corrupt_entry_is_dropped_and_recomputed(self, tmp_path):
-        store = DirectoryBackend(tmp_path / "store")
-        store.put(KEY_A, {"cost": 1.0})
-        (entry,) = list(store.dir.glob("??/*.pkl"))
-        entry.write_bytes(entry.read_bytes()[:10])  # truncate
-        assert store.get(KEY_A) is None
-        assert store.corrupt_entries == 1
-        assert len(store) == 0  # unlinked: a recompute repopulates it
-        store.put(KEY_A, {"cost": 1.0})
-        assert store.get(KEY_A) == {"cost": 1.0}
-
-    def test_schema_version_is_part_of_the_path(self, tmp_path):
-        root = tmp_path / "store"
-        old = root / "v999" / "ab"
-        old.mkdir(parents=True)
-        (old / "abcd.pkl").write_bytes(pickle.dumps("stale"))
-        store = DirectoryBackend(root)
-        assert len(store) == 0  # other-version entries are invisible
-        assert store.dir == root / f"v{SCHEMA_VERSION}"
-
-    def test_concurrent_writers_from_processes(self, tmp_path):
-        root = tmp_path / "store"
-        script = (
-            "import sys\n"
-            "from repro.engine import DirectoryBackend\n"
-            "store = DirectoryBackend(sys.argv[1])\n"
-            "tag = sys.argv[2]\n"
-            "for i in range(40):\n"
-            "    store.put(('shared', i % 10), {'tag': tag, 'i': i})\n"
-            "    store.put((tag, i), i)\n"
-        )
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", script, str(root), tag],
-                env=_child_env(),
-            )
-            for tag in ("w1", "w2")
-        ]
-        for proc in procs:
-            assert proc.wait(timeout=120) == 0
-        store = DirectoryBackend(root)
-        assert len(store) == 90
-        for tag in ("w1", "w2"):
-            for i in range(40):
-                assert store.get((tag, i)) == i
-        assert store.corrupt_entries == 0
-
-
 class TestMakeBackend:
     def test_spec_forms(self, tmp_path):
         assert isinstance(make_backend(None), MemoryBackend)
@@ -243,16 +186,19 @@ class TestMakeBackend:
         sqlite_store = make_backend(f"sqlite:{tmp_path}/a.db")
         assert isinstance(sqlite_store, SQLiteBackend)
         sqlite_store.close()
-        assert isinstance(make_backend(f"dir:{tmp_path}/d"), DirectoryBackend)
-        assert isinstance(
-            make_backend(f"directory:{tmp_path}/d2"), DirectoryBackend
-        )
         suffixed = make_backend(str(tmp_path / "b.sqlite3"))
         assert isinstance(suffixed, SQLiteBackend)
         suffixed.close()
-        assert isinstance(
-            make_backend(str(tmp_path / "plain")), DirectoryBackend
-        )
+
+    @pytest.mark.parametrize(
+        "spec", ["foo:bar", "{}/plain", "{}/evals.json"]
+    )
+    def test_rejects_unknown_specs_without_touching_disk(
+        self, tmp_path, spec
+    ):
+        with pytest.raises(ReproError, match="unknown cache spec"):
+            make_backend(spec.format(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_instance_passthrough(self):
         backend = MemoryBackend()
@@ -281,7 +227,7 @@ class TestEvaluationCacheWithBackends:
         cache.put(KEY_A, "recomputed")
         assert backend.get(KEY_A) == "recomputed"
 
-    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db", "dir:{}/store"])
+    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db"])
     def test_engine_warm_start_is_bit_identical(self, tmp_path, spec, vopd_app):
         """A second engine over a warm store does zero evaluations."""
         spec = spec.format(tmp_path)
@@ -325,16 +271,13 @@ def _child_env() -> dict:
 class TestWriteErrors:
     """Failed cache writes are counted and surfaced, never raised."""
 
-    def test_directory_backend_counts_failed_writes(self, tmp_path, caplog):
-        backend = DirectoryBackend(tmp_path / "store")
-        # Occupy the shard directory's path with a file: mkdir fails.
-        shard = key_fingerprint(KEY_A)[:2]
-        (backend.dir / shard).write_text("not a directory")
+    def test_sqlite_backend_counts_failed_writes(self, tmp_path, caplog):
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        backend._conn.close()  # simulate a store gone bad mid-run
         with caplog.at_level("WARNING", logger="repro.engine.backends"):
             backend.put(KEY_A, {"cost": 1})
             backend.put(KEY_A, {"cost": 2})
         assert backend.write_errors == 2
-        assert backend.get(KEY_A) is None  # dropped, not half-written
         # Only the first failure warns; repeats are demoted to debug.
         warnings = [
             r
@@ -344,16 +287,9 @@ class TestWriteErrors:
         assert len(warnings) == 1
         assert "first write failure" in warnings[0].getMessage()
 
-    def test_sqlite_backend_counts_failed_writes(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "evals.db")
-        backend._conn.close()  # simulate a store gone bad mid-run
-        backend.put(KEY_A, {"cost": 1})
-        assert backend.write_errors == 1
-
     def test_cache_stats_mirror_backend_write_errors(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "store")
-        shard = key_fingerprint(KEY_A)[:2]
-        (backend.dir / shard).write_text("not a directory")
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        backend._conn.close()
         cache = EvaluationCache(backend=backend)
         cache.put(KEY_A, {"cost": 1})
         assert cache.stats.write_errors == 1

@@ -11,6 +11,7 @@ from dataclasses import fields
 import pytest
 
 from repro.cli import _csv, build_parser
+from repro.core.constraints import DEFAULT_LINK_CAPACITY_MB_S, Constraints
 from repro.errors import ContractError, ReproError, ServiceError
 from repro.service.contract import (
     CONTRACT_VERSION,
@@ -27,6 +28,7 @@ from repro.service.contract import (
 )
 from repro.simulation.campaign import CampaignConfig
 from repro.synthesis import SynthesisConfig
+from repro.topology.custom import MAX_LINK_MULT
 
 
 def select_payload(**params) -> dict:
@@ -190,6 +192,10 @@ class TestDesignBounds:
                 select_payload(fault_tolerance=MAX_FAULTS + 1),
                 r"\.fault_tolerance: .*above the maximum",
             ),
+            (
+                synthesize_payload(max_switch_degrees=[MAX_LINK_MULT + 1]),
+                r"\.max_switch_degrees\[0\]: .*above the maximum",
+            ),
         ],
     )
     def test_bound_exceeded_is_a_contract_error(self, payload, message):
@@ -274,6 +280,51 @@ class TestFrontDoorDefaults:
             field: self.CAMPAIGN[field]
             for field in ("patterns", "seeds", "faults", "fault_seeds")
         }
+
+
+    def test_link_capacity_defaults_are_the_library_default(self):
+        assert Constraints().link_capacity_mb_s == DEFAULT_LINK_CAPACITY_MB_S
+        for kind in ("select", "synthesize"):
+            assert (
+                PARAM_DEFAULTS[kind]["link_capacity_mb_s"]
+                == DEFAULT_LINK_CAPACITY_MB_S
+            )
+            args = build_parser().parse_args([kind, "--app", "vopd"])
+            assert args.capacity == DEFAULT_LINK_CAPACITY_MB_S
+
+
+class TestDefaultFingerprints:
+    """Default requests keep fixed fingerprints, whichever module
+    spells their defaults: clients and in-flight dedup rely on them."""
+
+    @pytest.mark.parametrize(
+        "kind, params, digest",
+        [
+            (
+                "select",
+                {"app": "vopd"},
+                "b2e70c77e58e281df27f74cc9f2faeea"
+                "aa71236372791db8e04564f80c527b7d",
+            ),
+            (
+                "synthesize",
+                {"app": "vopd"},
+                "239994f91b6ef73d006db8358b4bbdcb"
+                "a477a27b3fcedd99442ea2f31a4f2c0c",
+            ),
+            (
+                "campaign",
+                {"app": "vopd", "topology": "mesh"},
+                "f1a3e5aefb1c78bdc24f7ecb2851e635"
+                "0c9d1a00b9ca1ad337dfa0bd4fecb60f",
+            ),
+        ],
+    )
+    def test_default_request_fingerprint(self, kind, params, digest):
+        request = parse_request(
+            {"v": CONTRACT_VERSION, "kind": kind, "params": params}
+        )
+        assert request.fingerprint() == digest
 
 
 class TestParseRequest:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.greedy import initial_greedy_mapping
+from repro.core.selector import select_topology
 from repro.engine import EvaluationJob, ExplorationEngine
 from repro.io import selection_to_dict
 from repro.service import DesignService
@@ -90,6 +91,22 @@ class TestBitIdentity:
             json.loads(json.dumps(expected))
         )
 
+    def test_select_without_fallback_matches_select_topology(self, dsp_app):
+        """``fallback: false`` never escalates: dsp stays infeasible
+        under MP, exactly as a direct selection reports it."""
+        response = handle(
+            DesignService(),
+            {"v": 1, "kind": "select",
+             "params": {"app": "dsp", "fallback": False}},
+        )
+        assert response["ok"], response
+        assert response["result"]["attempted_routings"] == ["MP"]
+        direct = select_topology(dsp_app, routing="MP")
+        assert direct.best is None
+        assert canonical(response["result"]["selection"]) == canonical(
+            json.loads(json.dumps(selection_to_dict(direct)))
+        )
+
     def test_synthesize_matches_direct_call(self, vopd_app):
         response = handle(DesignService(), SYNTHESIZE)
         assert response["ok"], response
@@ -130,7 +147,7 @@ class TestBitIdentity:
             json.loads(json.dumps(strip_runtime(direct.to_dict())))
         )
 
-    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db", "dir:{}/store"])
+    @pytest.mark.parametrize("spec", ["sqlite:{}/evals.db"])
     def test_identity_holds_from_a_warm_backend(self, tmp_path, spec):
         """Cold compute and warm replay produce identical results."""
         spec = spec.format(tmp_path)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.topology.custom import MAX_LINK_MULT
 
 
 class TestListing:
@@ -55,6 +56,24 @@ class TestMapAndSelect:
         ]) == 0
         out = capsys.readouterr().out
         assert "attempted" in out
+
+    def test_select_fallback_honours_save_and_markdown(
+        self, capsys, tmp_path
+    ):
+        """dsp is infeasible under MP at 500 MB/s: the escalated
+        selection is the one printed as markdown and saved."""
+        path = tmp_path / "sel.json"
+        assert main([
+            "select", "--app", "dsp", "--fallback", "--markdown",
+            "--save", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        saved = json.loads(path.read_text())
+        assert saved["routing"] != "MP"
+        assert saved["best"] is not None
+        assert "| topology |" in out
+        assert f"best: {saved['best']}\n" in out
+        assert f"selection saved to {path}" in out
 
     @pytest.mark.parametrize("app", ["vopd", "dsp"])
     def test_select_independent_of_hash_seed(self, app):
@@ -120,6 +139,37 @@ class TestMapAndSelect:
     def test_map_requires_topology_or_file(self, capsys):
         assert main(["map", "--app", "dsp"]) == 1
         assert "--topology" in capsys.readouterr().err
+
+
+class TestRejectedValues:
+    """Values the library refuses when a config or cache is built: the
+    CLI reports each with exit 1 and a one-line error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--fault-tolerance", "-1"],
+            ["synthesize", "--strategies", "bogus"],
+            ["synthesize", "--max-candidates", "0"],
+            ["synthesize", "--concentrations", "0"],
+            ["synthesize", "--degrees", "0"],
+            ["synthesize", "--degrees", str(MAX_LINK_MULT + 1)],
+            ["select", "--capacity", "-5"],
+            ["select", "--capacity", "nan"],
+            ["select", "--cache", "foo:bar"],
+            ["select", "--cache", "store"],
+        ],
+    )
+    def test_exit_1_with_one_line_error(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv[:1] + ["--app", "vopd"] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # no store was created
 
 
 class TestSynthesize:

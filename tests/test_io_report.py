@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mapper import MapperConfig, map_onto
 from repro.core.selector import select_topology
-from repro.errors import CoreGraphError
+from repro.errors import CoreGraphError, TopologyError
 from repro.floorplan.lp import floorplan_mapping
 from repro.io import (
     core_graph_from_dict,
@@ -25,6 +27,7 @@ from repro.report import (
     render_mapping,
     selection_to_markdown,
 )
+from repro.topology.custom import MAX_LINK_MULT
 from repro.topology.library import make_topology
 
 FAST = MapperConfig(converge=False, swap_rounds=1)
@@ -59,6 +62,30 @@ class TestCoreGraphIO:
     def test_missing_field_rejected(self):
         with pytest.raises(CoreGraphError):
             core_graph_from_dict({"name": "x", "cores": [{}], "flows": []})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"name": ["x"]},
+            {"cores": 5},
+            {"cores": ["a"]},
+            {"cores": [{"name": "a", "area_mm2": "big"}, {"name": "b"}]},
+            {"cores": [{"name": "a", "is_soft": "yes"}, {"name": "b"}]},
+            {"cores": [{"name": "a", "power_mw": None}, {"name": "b"}]},
+            {"flows": [{"src": "a", "dst": "b", "bandwidth_mb_s": "9"}]},
+            {"flows": [{"src": "a", "dst": "b", "bandwidth_mb_s": 1e400}]},
+            {"flows": [{"src": 0, "dst": "b", "bandwidth_mb_s": 9.0}]},
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, change):
+        payload = {
+            "name": "mini",
+            "cores": [{"name": "a"}, {"name": "b"}],
+            "flows": [{"src": "a", "dst": "b", "bandwidth_mb_s": 10.0}],
+            **change,
+        }
+        with pytest.raises(CoreGraphError):
+            core_graph_from_dict(payload)
 
     def test_json_is_valid(self, tiny_app, tmp_path):
         path = tmp_path / "tiny.json"
@@ -154,10 +181,29 @@ class TestTopologyIO:
         assert ev.max_link_load == best.evaluation.max_link_load
 
     def test_missing_field_rejected(self):
-        from repro.errors import TopologyError
-
         with pytest.raises(TopologyError):
             custom_topology_from_dict({"name": "x", "links": []})
+
+    @pytest.mark.parametrize("mult", [MAX_LINK_MULT + 1, 0, -1])
+    def test_link_multiplicity_out_of_bounds_rejected(self, mult):
+        with pytest.raises(TopologyError, match="mult"):
+            custom_topology_from_dict(
+                {
+                    "name": "fat",
+                    "slot_switch": [0, 1],
+                    "links": [{"a": 0, "b": 1, "mult": mult}],
+                }
+            )
+
+    def test_link_multiplicity_at_the_bound_builds(self):
+        topo = custom_topology_from_dict(
+            {
+                "name": "fat",
+                "slot_switch": [0, 1],
+                "links": [{"a": 0, "b": 1, "mult": MAX_LINK_MULT}],
+            }
+        )
+        assert topo.link_multiplicity() == {(0, 1): MAX_LINK_MULT}
 
     def test_default_positions_allowed(self):
         clone = custom_topology_from_dict(
@@ -168,6 +214,104 @@ class TestTopologyIO:
             }
         )
         assert clone.num_slots == 2
+
+
+#: Any value ``json.loads`` can return (huge literals decode to
+#: infinities; NaN has no JSON literal).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_junk(valid):
+    """A well-formed field value, or any JSON value in its place."""
+    return st.one_of(valid, JSON_VALUES)
+
+
+NAMES = st.sampled_from(["a", "b", "c"])
+CORE_GRAPH_DOCS = st.fixed_dictionaries(
+    {
+        "name": _or_junk(st.text(max_size=6)),
+        "cores": _or_junk(st.lists(
+            st.fixed_dictionaries(
+                {"name": _or_junk(NAMES)},
+                optional={
+                    "area_mm2": _or_junk(st.floats(0.5, 8.0)),
+                    "is_soft": _or_junk(st.booleans()),
+                    "aspect_min": _or_junk(st.floats(0.2, 1.0)),
+                    "aspect_max": _or_junk(st.floats(1.0, 5.0)),
+                    "power_mw": _or_junk(st.floats(0.0, 50.0)),
+                },
+            ),
+            max_size=4,
+        )),
+        "flows": _or_junk(st.lists(
+            st.fixed_dictionaries({
+                "src": _or_junk(NAMES),
+                "dst": _or_junk(NAMES),
+                "bandwidth_mb_s": _or_junk(st.floats(1.0, 500.0)),
+            }),
+            max_size=4,
+        )),
+    }
+)
+SWITCH_IDS = st.integers(0, 3)
+TOPOLOGY_DOCS = st.fixed_dictionaries(
+    {
+        "name": _or_junk(st.text(max_size=6)),
+        "slot_switch": _or_junk(st.lists(SWITCH_IDS, max_size=5)),
+        "links": _or_junk(st.lists(
+            st.fixed_dictionaries(
+                {"a": _or_junk(SWITCH_IDS), "b": _or_junk(SWITCH_IDS)},
+                optional={"mult": _or_junk(st.integers(1, 3))},
+            ),
+            max_size=5,
+        )),
+    },
+    optional={
+        "positions": _or_junk(st.dictionaries(
+            SWITCH_IDS.map(str),
+            st.tuples(st.floats(0, 4), st.floats(0, 4)).map(list),
+            max_size=4,
+        )),
+    },
+)
+FUZZ = settings(max_examples=300, deadline=None)
+
+
+class TestLoaderFuzz:
+    """The JSON loaders are input boundaries: any decoded JSON value
+    builds or raises the loader's typed error, never anything else."""
+
+    @FUZZ
+    @given(st.one_of(CORE_GRAPH_DOCS, JSON_VALUES))
+    def test_core_graph_from_dict(self, payload):
+        try:
+            graph = core_graph_from_dict(payload)
+        except CoreGraphError:
+            return
+        assert isinstance(graph.name, str)
+        assert graph.num_cores >= 1
+
+    @FUZZ
+    @given(st.one_of(TOPOLOGY_DOCS, JSON_VALUES))
+    def test_custom_topology_from_dict(self, payload):
+        try:
+            topology = custom_topology_from_dict(payload)
+        except TopologyError:
+            return
+        assert isinstance(topology.name, str)
+        assert all(
+            1 <= mult <= MAX_LINK_MULT
+            for mult in topology.link_multiplicity().values()
+        )
 
 
 class TestSelectionIO:
