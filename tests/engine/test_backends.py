@@ -271,9 +271,15 @@ def _child_env() -> dict:
 class TestWriteErrors:
     """Failed cache writes are counted and surfaced, never raised."""
 
-    def test_sqlite_backend_counts_failed_writes(self, tmp_path, caplog):
+    def test_sqlite_backend_counts_failed_writes(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "evals.db")
         backend._conn.close()  # simulate a store gone bad mid-run
+        backend.put(KEY_A, {"cost": 1})
+        assert backend.write_errors == 1
+
+    def test_repeated_write_failures_warn_once(self, tmp_path, caplog):
+        backend = SQLiteBackend(tmp_path / "evals.db")
+        backend._conn.close()
         with caplog.at_level("WARNING", logger="repro.engine.backends"):
             backend.put(KEY_A, {"cost": 1})
             backend.put(KEY_A, {"cost": 2})
